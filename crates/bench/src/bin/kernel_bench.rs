@@ -10,7 +10,9 @@
 //!
 //! Flags / env:
 //! - `--out <path>`: JSON summary path (default `BENCH_kernels.json`).
-//! - `--baseline <tsv>`: run the regression gate against this file.
+//! - `--baseline <tsv>`: run the regression gate against this file
+//!   (read before the run; refused when it is the `kernels.tsv` this
+//!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere).
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
 //!   (default `0.15` = 15%).
 //! - `SP_KERNEL_BENCH_SLOW=1`: honestly slow the lanes variants down
@@ -28,7 +30,7 @@
 //! gate compares lanes medians against the committed lanes medians,
 //! never scalar vs lanes.
 
-use sp_bench::harness::write_tsv;
+use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
 use sp_bench::kernels::{compare, median_ns, parse_tsv, GateOutcome, KernelRow, TSV_HEADER};
 use sp_linalg::vector;
 use std::hint::black_box;
@@ -56,7 +58,16 @@ const CALIBRATION_BATCHES: usize = 64;
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let baseline_path = flag_value(&argv, "--baseline");
+    // Read the baseline before this run writes its own kernels.tsv.
+    let baseline = flag_value(&argv, "--baseline").map(|path| {
+        let parsed = read_baseline(path.as_ref(), &tsv_path("kernels")).and_then(|text| {
+            parse_tsv(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))
+        });
+        parsed.unwrap_or_else(|e| {
+            eprintln!("FAIL: {e}");
+            std::process::exit(1);
+        })
+    });
     let slow = std::env::var("SP_KERNEL_BENCH_SLOW")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -90,21 +101,7 @@ fn main() {
     write_tsv("kernels", &TSV_HEADER, &tsv_rows);
     write_json(&out_path, &rows, tolerance);
 
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let baseline = match parse_tsv(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("FAIL: cannot parse baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
+    if let Some(baseline) = baseline {
         let outcome = compare(&baseline, &rows, tolerance);
         report_gate(&outcome, tolerance);
         if !outcome.pass() {

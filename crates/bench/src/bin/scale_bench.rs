@@ -1,60 +1,49 @@
 //! Out-of-core pipeline scale bench + CI memory-regression gate.
 //!
-//! Drives the blocked/streaming execution path end to end on a
-//! synthetic bounded-degree graph: streamed CSR ingestion
-//! ([`StreamingCsr`]), row-banded proximity
-//! ([`EdgeProximity::compute_blocked`]), a chunked two-pass
-//! [`AliasTableBuilder`] over the edge weights (the Alg. 1
-//! structure-preference sampling table, built without holding P), and
-//! the edge-sharded trainer (`subgraph_shard_edges`) with a per-shard
-//! RDP accountant composition check. Every resident and transient
-//! buffer is byte-accounted through one [`MemTracker`] — the
-//! "self-tracked peak RSS" reported here, chosen over `/proc` because
-//! the container makes no `/proc` guarantees and byte accounting is
-//! deterministic enough to gate in CI.
+//! Drives the training pipeline end to end on a synthetic
+//! bounded-degree graph: streamed CSR ingestion ([`StreamingCsr`]),
+//! row-banded proximity ([`EdgeProximity::compute_threads`], which
+//! drains bands of [`BAND_ROWS`] rows), the degree alias table of
+//! Alg. 1's degree-proportional sampler, and the trainer, which
+//! regenerates every sampled subgraph on demand instead of holding
+//! `G_S`. Every resident and transient buffer is byte-accounted through
+//! one [`MemTracker`] — the "self-tracked peak RSS" reported here,
+//! chosen over `/proc` because byte accounting is deterministic enough
+//! to gate in CI.
 //!
 //! Modes:
-//! - `--smoke` (CI): a small graph; additionally runs the materialised
-//!   path and **asserts bit-identity** (proximity weights, trained
-//!   embeddings, alias buckets, accountant state) plus the RSS budget,
-//!   exiting non-zero on any violation.
+//! - `--smoke` (CI): a 60k-node graph under a 64 MiB budget.
 //! - default (full): a 1.25M-node graph under a 4 GB budget the
-//!   materialised path provably cannot meet (its P matrix alone is
-//!   ~12 GB); the materialised side is a len-based byte estimate, not
-//!   an allocation.
+//!   materialised path provably cannot meet; the materialised side is
+//!   a len-based byte estimate, not an allocation.
+//!
+//! Either mode exits non-zero when the tracked peak exceeds the budget,
+//! when the materialised estimate fits it, or when the gate fails.
 //!
 //! Flags / env:
 //! - `--out <path>`: JSON summary path (default `BENCH_scale.json`).
 //! - `--baseline <tsv>`: gate the deterministic byte metrics against
-//!   this committed baseline (`crates/bench/results/scale.tsv`).
+//!   this committed baseline (`crates/bench/results/scale.tsv`). It is
+//!   read before the run and refused when it is the `scale.tsv` this
+//!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere.
 //! - `--budget-bytes <n>`: RSS budget (default 64 MiB smoke, 4 GiB
 //!   full).
-//! - `--band-rows <n>` / `--shard-edges <n>`: blocked-path granularity.
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
 //!   (default `0.15`).
 //! - `SP_RESULTS_DIR`: where `scale.tsv` lands.
 
-use sp_bench::harness::write_tsv;
+use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
 use sp_bench::scale::{
     compare_scale, parse_scale_tsv, ScaleGateOutcome, ScaleRow, SCALE_TSV_HEADER,
 };
-use sp_dp::RdpAccountant;
 use sp_graph::{Graph, StreamingCsr};
 use sp_mem::MemTracker;
-use sp_proximity::band::WedgeBander;
+use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{EdgeProximity, ProximityKind};
-use sp_skipgram::{
-    AliasTable, AliasTableBuilder, NegativeSampling, PerturbStrategy, Subgraph, TrainConfig,
-    Trainer,
-};
+use sp_skipgram::{NegativeSampling, PerturbStrategy, Subgraph, TrainConfig, Trainer};
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Chunk height (weights per pass) of the streamed alias build.
-const ALIAS_CHUNK: usize = 65_536;
-/// Shards of the per-shard RDP composition demonstration.
-const RDP_SHARDS: usize = 8;
 
 /// One scale-bench scenario.
 struct Scenario {
@@ -64,11 +53,7 @@ struct Scenario {
     chords: usize,
     dim: usize,
     batch_size: usize,
-    band_rows: usize,
-    shard_edges: usize,
     budget_bytes: u64,
-    /// Run the materialised path too and assert bit-identity.
-    verify_materialised: bool,
 }
 
 impl Scenario {
@@ -79,10 +64,7 @@ impl Scenario {
             chords: 7,
             dim: 8,
             batch_size: 128,
-            band_rows: 1024,
-            shard_edges: 4096,
             budget_bytes: 64 << 20,
-            verify_materialised: true,
         }
     }
 
@@ -93,14 +75,11 @@ impl Scenario {
             chords: 15,
             dim: 16,
             batch_size: 256,
-            band_rows: 4096,
-            shard_edges: 1 << 20,
             budget_bytes: 4 << 30,
-            verify_materialised: false,
         }
     }
 
-    fn train_config(&self, shard: Option<usize>) -> TrainConfig {
+    fn train_config(&self) -> TrainConfig {
         TrainConfig {
             dim: self.dim,
             negatives: 3,
@@ -115,7 +94,6 @@ impl Scenario {
             negative_sampling: NegativeSampling::DegreeProportional,
             seed: 0x5CA1E,
             threads: None,
-            subgraph_shard_edges: shard,
             checkpoint_every: None,
             checkpoint_dir: None,
         }
@@ -132,26 +110,28 @@ fn main() {
     if let Some(v) = flag_value(&argv, "--budget-bytes") {
         sc.budget_bytes = v.parse().expect("--budget-bytes: not a byte count");
     }
-    if let Some(v) = flag_value(&argv, "--band-rows") {
-        sc.band_rows = v.parse().expect("--band-rows: not a row count");
-    }
-    if let Some(v) = flag_value(&argv, "--shard-edges") {
-        sc.shard_edges = v.parse().expect("--shard-edges: not an edge count");
-    }
     let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let baseline_path = flag_value(&argv, "--baseline");
+    // Read the baseline before this run writes its own scale.tsv.
+    let baseline = flag_value(&argv, "--baseline").map(|path| {
+        let parsed = read_baseline(path.as_ref(), &tsv_path("scale")).and_then(|text| {
+            parse_scale_tsv(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))
+        });
+        parsed.unwrap_or_else(|e| {
+            eprintln!("FAIL: {e}");
+            std::process::exit(1);
+        })
+    });
     let tolerance = std::env::var("SP_BENCH_GATE_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(0.15);
 
     println!(
-        "=== sp_scale_bench [{}]: {} nodes, budget {} MiB, band_rows={}, shard_edges={} ===",
+        "=== sp_scale_bench [{}]: {} nodes, budget {} MiB, bands of {} rows ===",
         sc.label,
         sc.nodes,
         sc.budget_bytes >> 20,
-        sc.band_rows,
-        sc.shard_edges
+        BAND_ROWS
     );
 
     let mut failures: Vec<String> = Vec::new();
@@ -173,7 +153,7 @@ fn main() {
 
     // --- 2. Materialised-path size (len-based, no allocation). ---
     let t0 = Instant::now();
-    let (p_nnz, band_peak_bytes) = banded_nnz(&g, sc.band_rows);
+    let (p_nnz, band_peak_bytes) = banded_nnz(&g);
     let materialized_p_bytes = (p_nnz * (8 + 4) + (g.num_nodes() + 1) * 8) as u64;
     let materialized_gs_bytes = (g.num_edges() * (std::mem::size_of::<Subgraph>() + 3 * 4)) as u64;
     println!(
@@ -184,52 +164,32 @@ fn main() {
         t0.elapsed().as_millis()
     );
 
-    // --- 3. Row-banded proximity under the tracker. ---
+    // --- 3. Row-banded proximity: the weights vector plus, while it
+    //        runs, the largest band. ---
     let t0 = Instant::now();
-    tracker.add((g.num_edges() * 8) as u64); // the weights vector
-    let prox = EdgeProximity::compute_blocked(
-        &g,
-        ProximityKind::CommonNeighbors,
-        sc.band_rows,
-        None,
-        Some(&tracker),
-    );
+    tracker.add((g.num_edges() * 8) as u64);
+    tracker.add(band_peak_bytes);
+    let prox = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, None);
+    tracker.release(band_peak_bytes);
     let proximity_ms = t0.elapsed().as_millis();
     let weights_bytes = (prox.len() * 8) as u64;
     println!(
         "[proximity] {} edge weights in {} ms (bands of {} rows)",
         prox.len(),
         proximity_ms,
-        sc.band_rows
+        BAND_ROWS
     );
 
-    // --- 4. Streamed alias table over the edge weights (Alg. 1's
-    //        structure-preference sampling table, built band-wise). ---
+    // --- 4. Training: the degree alias table Alg. 1's
+    //        degree-proportional sampler builds (prob f64 + alias u32
+    //        per node), the trainer's resident matrices, and subgraphs
+    //        regenerated on demand. ---
     let t0 = Instant::now();
-    let mut builder = AliasTableBuilder::new();
-    for chunk in prox.weights.chunks(ALIAS_CHUNK) {
-        builder.push_mass(chunk);
-    }
-    for chunk in prox.weights.chunks(ALIAS_CHUNK) {
-        builder.push_fill(chunk);
-    }
-    let alias = builder.finish();
-    let alias_bytes = (alias.len() * (8 + 4)) as u64;
+    let alias_bytes = (g.num_nodes() * (8 + 4)) as u64;
     tracker.add(alias_bytes);
-    let alias_ms = t0.elapsed().as_millis();
-    println!(
-        "[alias] {} outcomes in {} ms, {:.1} MiB",
-        alias.len(),
-        alias_ms,
-        mib(alias_bytes)
-    );
-
-    // --- 5. Edge-sharded training (on-demand subgraph regeneration). ---
-    let t0 = Instant::now();
     let trainer_resident_bytes = (4 * g.num_nodes() * sc.dim * 8 + 2 * g.num_nodes()) as u64;
     tracker.add(trainer_resident_bytes);
-    let cfg = sc.train_config(Some(sc.shard_edges));
-    let (model, report) = Trainer::new(cfg.clone()).train(&g, &prox);
+    let (_, report) = Trainer::new(sc.train_config()).train(&g, &prox);
     let train_ms = t0.elapsed().as_millis();
     println!(
         "[train] {} steps, {} epochs, eps {:.4}, {} ms",
@@ -249,7 +209,7 @@ fn main() {
         mib(sc.budget_bytes)
     );
 
-    // --- 6. Budget assertions. ---
+    // --- 5. Budget assertions. ---
     if blocked_peak_bytes > sc.budget_bytes {
         failures.push(format!(
             "blocked peak {} bytes exceeds the {} byte budget",
@@ -264,55 +224,7 @@ fn main() {
         ));
     }
 
-    // --- 7. Per-shard RDP accountant composition. ---
-    let gamma = (cfg.batch_size.min(g.num_edges()) as f64 / g.num_edges() as f64).min(1.0);
-    let (eps_mono, eps_sharded) = sharded_epsilon(gamma, cfg.sigma, cfg.delta, report.steps_run);
-    println!(
-        "[rdp] monolithic eps {:.9} vs {}-shard composed eps {:.9}",
-        eps_mono, RDP_SHARDS, eps_sharded
-    );
-    if (eps_mono - eps_sharded).abs() > 1e-9 {
-        failures.push(format!(
-            "sharded RDP composition diverged: {eps_mono} vs {eps_sharded}"
-        ));
-    }
-
-    // --- 8. Smoke: the materialised path, bit-for-bit. ---
-    let mut identity_checked = false;
-    if sc.verify_materialised {
-        identity_checked = true;
-        let t0 = Instant::now();
-        let mat_prox = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, None);
-        if !bits_equal(&mat_prox.weights, &prox.weights)
-            || mat_prox.min_positive.to_bits() != prox.min_positive.to_bits()
-        {
-            failures.push("blocked proximity diverged from materialised".to_string());
-        }
-        let mat_alias = AliasTable::new(&prox.weights);
-        if mat_alias.buckets().0 != alias.buckets().0 || mat_alias.buckets().1 != alias.buckets().1
-        {
-            failures.push("streamed alias table diverged from materialised".to_string());
-        }
-        let (mat_model, mat_report) = Trainer::new(sc.train_config(None)).train(&g, &prox);
-        if !bits_equal(mat_model.w_in.as_slice(), model.w_in.as_slice())
-            || !bits_equal(mat_model.w_out.as_slice(), model.w_out.as_slice())
-            || mat_report.steps_run != report.steps_run
-            || mat_report.epsilon_spent.to_bits() != report.epsilon_spent.to_bits()
-        {
-            failures.push("sharded training diverged from materialised".to_string());
-        }
-        println!(
-            "[identity] materialised path re-run in {} ms: {}",
-            t0.elapsed().as_millis(),
-            if failures.is_empty() {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-    }
-
-    // --- 9. Artefacts: scale.tsv + BENCH_scale.json. ---
+    // --- 6. Artefacts: scale.tsv + BENCH_scale.json. ---
     let rows = vec![
         count_row("nodes", g.num_nodes()),
         count_row("edges", g.num_edges()),
@@ -342,31 +254,14 @@ fn main() {
         .map(|r| vec![r.metric.clone(), r.unit.clone(), format!("{}", r.value)])
         .collect();
     write_tsv("scale", &SCALE_TSV_HEADER, &tsv_rows);
-    write_json(
-        &out_path,
-        &sc,
-        &rows,
-        &report,
-        eps_mono,
-        eps_sharded,
-        identity_checked,
-        failures.is_empty(),
-    );
+    write_json(&out_path, &sc, &rows, &report, failures.is_empty());
 
-    // --- 10. Gate against the committed baseline. ---
-    if let Some(path) = baseline_path {
-        match std::fs::read_to_string(&path).map_err(|e| e.to_string()) {
-            Ok(text) => match parse_scale_tsv(&text) {
-                Ok(baseline) => {
-                    let outcome = compare_scale(&baseline, &rows, tolerance);
-                    report_gate(&outcome, tolerance);
-                    if !outcome.pass() {
-                        failures.push("memory baseline gate failed".to_string());
-                    }
-                }
-                Err(e) => failures.push(format!("cannot parse baseline {path}: {e}")),
-            },
-            Err(e) => failures.push(format!("cannot read baseline {path}: {e}")),
+    // --- 7. Gate against the committed baseline. ---
+    if let Some(baseline) = baseline {
+        let outcome = compare_scale(&baseline, &rows, tolerance);
+        report_gate(&outcome, tolerance);
+        if !outcome.pass() {
+            failures.push("memory baseline gate failed".to_string());
         }
     }
 
@@ -406,10 +301,6 @@ fn count_row(metric: &str, count: usize) -> ScaleRow {
     }
 }
 
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// Ring + chords: node `i` connects to `i+1` and to `i + stride_j`
 /// for `chords` fixed strides — bounded degree ≈ `2·(1 + chords)`,
 /// deterministic, and generated edge-by-edge so ingestion is a true
@@ -431,55 +322,29 @@ fn synthetic_graph(n: usize, chords: usize, tracker: Option<Arc<MemTracker>>) ->
     csr.finish()
 }
 
-/// Sweeps the common-neighbour row bands once without keeping any of
-/// them: returns the total nnz the materialised P would hold and the
-/// largest single band's heap footprint (the blocked path's transient
-/// high-water mark for this band height).
-fn banded_nnz(g: &Graph, band_rows: usize) -> (usize, u64) {
-    let bander = WedgeBander::new(g, ProximityKind::CommonNeighbors)
-        .expect("common neighbours is a wedge measure");
-    let n = bander.rows();
+/// Sweeps the common-neighbour row bands at the engine's height once
+/// without keeping any of them: returns the total nnz the materialised
+/// P would hold and the largest single band's heap footprint (the
+/// banded path's transient high-water mark).
+fn banded_nnz(g: &Graph) -> (usize, u64) {
+    let bands = RowBands::new(g, ProximityKind::CommonNeighbors)
+        .expect("common neighbours is a matrix-backed measure");
+    let n = bands.rows();
     let mut nnz = 0usize;
     let mut peak = 0u64;
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + band_rows).min(n);
-        let block = bander.band(start..end, None);
+    for start in (0..n).step_by(BAND_ROWS) {
+        let block = bands.band(start..(start + BAND_ROWS).min(n), None);
         nnz += block.indices.len();
         peak = peak.max(block.heap_bytes());
-        start = end;
     }
     (nnz, peak)
 }
 
-/// Composes `RDP_SHARDS` per-shard accountants over a fixed-order
-/// partition of the step count and returns
-/// `(monolithic ε, composed ε)` at `delta`.
-fn sharded_epsilon(gamma: f64, sigma: f64, delta: f64, steps: u64) -> (f64, f64) {
-    let mut mono = RdpAccountant::new(64);
-    mono.step_many(gamma, sigma, steps);
-    let base = steps / RDP_SHARDS as u64;
-    let extra = steps % RDP_SHARDS as u64;
-    let shards: Vec<RdpAccountant> = (0..RDP_SHARDS as u64)
-        .map(|i| {
-            let mut a = RdpAccountant::new(64);
-            a.step_many(gamma, sigma, base + u64::from(i < extra));
-            a
-        })
-        .collect();
-    let composed = RdpAccountant::compose(&shards);
-    (mono.epsilon(delta).0, composed.epsilon(delta).0)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     sc: &Scenario,
     rows: &[ScaleRow],
     report: &sp_skipgram::TrainReport,
-    eps_mono: f64,
-    eps_sharded: f64,
-    identity_checked: bool,
     pass: bool,
 ) {
     let mut metrics = String::new();
@@ -502,7 +367,6 @@ fn write_json(
     "dim": {dim},
     "batch_size": {batch},
     "band_rows": {band_rows},
-    "shard_edges": {shard_edges},
     "budget_bytes": {budget}
   }},
   "train": {{
@@ -510,12 +374,6 @@ fn write_json(
     "epochs_run": {epochs},
     "epsilon_spent": {eps}
   }},
-  "rdp": {{
-    "epsilon_monolithic": {eps_mono},
-    "epsilon_sharded": {eps_sharded},
-    "shards": {shards}
-  }},
-  "identity_checked": {identity_checked},
   "pass": {pass},
   "metrics": [
 {metrics}
@@ -527,13 +385,11 @@ fn write_json(
         chords = sc.chords,
         dim = sc.dim,
         batch = sc.batch_size,
-        band_rows = sc.band_rows,
-        shard_edges = sc.shard_edges,
+        band_rows = BAND_ROWS,
         budget = sc.budget_bytes,
         steps = report.steps_run,
         epochs = report.epochs_run,
         eps = report.epsilon_spent,
-        shards = RDP_SHARDS,
     );
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("[json] {path}"),

@@ -15,7 +15,7 @@ use sp_datasets::PaperDataset;
 use sp_graph::Graph;
 use sp_linalg::RunningStats;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Quick (default) vs full (paper-scale) execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,9 +162,15 @@ pub fn results_dir() -> PathBuf {
     base
 }
 
+/// Path of the TSV mirror `results/<name>.tsv` that [`write_tsv`]
+/// writes.
+pub fn tsv_path(name: &str) -> PathBuf {
+    results_dir().join(format!("{name}.tsv"))
+}
+
 /// Writes header + rows as TSV into `results/<name>.tsv`.
 pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let path = results_dir().join(format!("{name}.tsv"));
+    let path = tsv_path(name);
     let mut out = match std::fs::File::create(&path) {
         Ok(f) => f,
         Err(e) => {
@@ -177,6 +183,34 @@ pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
         let _ = writeln!(out, "{}", row.join("\t"));
     }
     println!("[tsv] {}", path.display());
+}
+
+/// Reads a regression gate's committed baseline before the bench writes
+/// its fresh `output`. Refuses a `baseline` that resolves to `output`
+/// itself: the run would overwrite the baseline and then compare it
+/// with itself, so the gate could never fail.
+///
+/// # Errors
+/// The refusal, or the error reading `baseline`.
+pub fn read_baseline(baseline: &Path, output: &Path) -> Result<String, String> {
+    // `output` need not exist yet: then resolve its directory instead.
+    let resolve = |p: &Path| -> Option<PathBuf> {
+        p.canonicalize().ok().or_else(|| {
+            let dir = p.parent().filter(|d| !d.as_os_str().is_empty());
+            let dir = dir.unwrap_or(Path::new(".")).canonicalize().ok()?;
+            Some(dir.join(p.file_name()?))
+        })
+    };
+    if let (Some(b), Some(o)) = (resolve(baseline), resolve(output)) {
+        if b == o {
+            return Err(format!(
+                "baseline {} is the file this run writes; point SP_RESULTS_DIR elsewhere",
+                baseline.display()
+            ));
+        }
+    }
+    std::fs::read_to_string(baseline)
+        .map_err(|e| format!("cannot read baseline {}: {e}", baseline.display()))
 }
 
 /// Prints a section banner.
@@ -195,6 +229,28 @@ mod tests {
         assert!(sweep_threads(64) >= 1);
         // Zero configs still yields a valid pool size.
         assert_eq!(sweep_threads(0), 1);
+    }
+
+    #[test]
+    fn baseline_that_resolves_to_the_output_is_refused() {
+        let dir = std::env::temp_dir().join(format!("sp_bench_gate_{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let output = dir.join("scale.tsv");
+        std::fs::write(&output, "metric\tunit\tvalue\n").unwrap();
+        // The same file, spelled directly and through `..`.
+        let err = read_baseline(&output, &output).unwrap_err();
+        assert!(err.contains("is the file this run writes"), "{err}");
+        assert!(read_baseline(&dir.join("sub/../scale.tsv"), &output).is_err());
+        // An output that does not exist yet still resolves.
+        let fresh = dir.join("fresh.tsv");
+        assert!(read_baseline(&fresh, &fresh).is_err());
+        // A different file is read.
+        let other = dir.join("sub/scale.tsv");
+        std::fs::write(&other, "baseline").unwrap();
+        assert_eq!(read_baseline(&other, &output).unwrap(), "baseline");
+        // A missing baseline is an error, not an empty gate.
+        assert!(read_baseline(&dir.join("missing.tsv"), &output).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -157,42 +157,6 @@ impl RdpAccountant {
             steps,
         })
     }
-
-    /// Folds another accountant's accumulated loss into this one —
-    /// sequential composition across *shards* of a mechanism (each
-    /// shard accounts its own steps locally; the driver absorbs them in
-    /// a fixed order). Additivity of RDP makes this exact.
-    ///
-    /// # Panics
-    /// Panics if the two accountants use different order grids.
-    pub fn absorb(&mut self, other: &RdpAccountant) {
-        assert_eq!(
-            self.orders, other.orders,
-            "cannot absorb an accountant with a different order grid"
-        );
-        for (r, &o) in self.rdp.iter_mut().zip(&other.rdp) {
-            *r += o;
-        }
-        self.steps += other.steps;
-    }
-
-    /// Composes shard-local accountants into one, absorbing them
-    /// serially in slice order — the deterministic fixed-order reduce
-    /// the out-of-core trainer's edge shards use. Returns the default
-    /// (empty) accountant when `shards` is empty.
-    ///
-    /// # Panics
-    /// Panics if the shards disagree on the order grid.
-    pub fn compose(shards: &[RdpAccountant]) -> RdpAccountant {
-        let mut total = match shards.first() {
-            Some(s) => RdpAccountant::new(*s.orders.last().expect("non-empty grid")),
-            None => RdpAccountant::default(),
-        };
-        for s in shards {
-            total.absorb(s);
-        }
-        total
-    }
 }
 
 /// An [`RdpAccountant`] bound to a target budget, implementing the
@@ -410,60 +374,6 @@ mod tests {
             assert_eq!(o1, o2);
             assert!((e1 - e2).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn sharded_composition_matches_monolithic_accounting() {
-        // Shard-local accounting + fixed-order absorb must equal one
-        // accountant stepping the same (γ, σ) sequence. Per-shard loss
-        // is identical arithmetic, so the only difference is the add
-        // order across shards; with equal per-step curves the absorb
-        // sums are bitwise-reassociations and land within 1e-15.
-        let gamma = 0.004;
-        let sigma = 5.0;
-        let mut mono = RdpAccountant::default();
-        mono.step_many(gamma, sigma, 60);
-        let shards: Vec<RdpAccountant> = [10u64, 20, 30]
-            .iter()
-            .map(|&n| {
-                let mut s = RdpAccountant::default();
-                s.step_many(gamma, sigma, n);
-                s
-            })
-            .collect();
-        let composed = RdpAccountant::compose(&shards);
-        assert_eq!(composed.steps(), mono.steps());
-        for ((o1, e1), (o2, e2)) in composed.curve().zip(mono.curve()) {
-            assert_eq!(o1, o2);
-            assert!((e1 - e2).abs() < 1e-15, "order {o1}: {e1} vs {e2}");
-        }
-        let (eps_c, _) = composed.epsilon(1e-5);
-        let (eps_m, _) = mono.epsilon(1e-5);
-        assert!((eps_c - eps_m).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compose_is_deterministic_and_empty_safe() {
-        let empty = RdpAccountant::compose(&[]);
-        assert_eq!(empty.steps(), 0);
-        let mut a = RdpAccountant::new(16);
-        a.step_subsampled_gaussian(0.01, 5.0);
-        let mut b = RdpAccountant::new(16);
-        b.step_many(0.02, 4.0, 3);
-        let c1 = RdpAccountant::compose(&[a.clone(), b.clone()]);
-        let c2 = RdpAccountant::compose(&[a.clone(), b.clone()]);
-        for ((_, e1), (_, e2)) in c1.curve().zip(c2.curve()) {
-            assert_eq!(e1.to_bits(), e2.to_bits(), "compose must be bitwise stable");
-        }
-        assert_eq!(c1.steps(), a.steps() + b.steps());
-    }
-
-    #[test]
-    #[should_panic(expected = "different order grid")]
-    fn absorb_rejects_mismatched_grids() {
-        let mut a = RdpAccountant::new(16);
-        let b = RdpAccountant::new(32);
-        a.absorb(&b);
     }
 
     #[test]

@@ -469,23 +469,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Element-wise sum `self + other` (shapes must match).
-    pub fn add(&self, other: &CsrMatrix) -> CsrMatrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "add: shape mismatch"
-        );
-        let mut b = CooBuilder::new(self.rows, self.cols);
-        for (i, j, v) in self.iter() {
-            b.push(i, j, v);
-        }
-        for (i, j, v) in other.iter() {
-            b.push(i, j, v);
-        }
-        b.build()
-    }
-
     /// Sum of the stored values of row `i`.
     pub fn row_sum(&self, i: usize) -> f64 {
         self.row_values(i).iter().sum()
@@ -665,15 +648,6 @@ mod tests {
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn add_is_elementwise() {
-        let m = sample();
-        let s = m.add(&m);
-        for (i, j, v) in m.iter() {
-            assert_eq!(s.get(i, j), 2.0 * v);
-        }
     }
 
     #[test]

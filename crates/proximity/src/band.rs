@@ -1,61 +1,72 @@
-//! Row-band proximity builders: the out-of-core counterpart of the
-//! materialised matrices in [`crate::neighborhood`].
+//! Row-band proximity builder: the one way `sp_proximity` builds a
+//! matrix-backed proximity.
 //!
 //! A *band* is a contiguous range of output rows, produced as a
-//! [`CsrRowBlock`] of bounded height and dropped as soon as the
-//! consumer (the streaming alias builder, the edge-weight cursor in
-//! [`EdgeProximity::compute_blocked`](crate::EdgeProximity::compute_blocked))
-//! has drained it. Peak memory is then `O(band nnz)` instead of
-//! `O(matrix nnz)`.
+//! [`CsrRowBlock`] and dropped as soon as its consumer has drained it.
+//! [`EdgeProximity::compute_threads`](crate::EdgeProximity::compute_threads)
+//! drains bands of [`BAND_ROWS`] rows, so its peak is one band instead
+//! of the whole matrix; [`proximity_matrix`](crate::proximity_matrix)
+//! is all rows as one band.
 //!
-//! Determinism: every output row of the wedge enumeration depends only
-//! on the graph and the per-centre weights (see
-//! [`crate::neighborhood`]), so concatenating bands of *any* height —
-//! including height 1 — reproduces
-//! [`proximity_matrix`](crate::proximity_matrix) bit-for-bit, for any
-//! thread count. `tests/blocked_pipeline.rs` pins this contract.
+//! Determinism: every output row depends only on the graph and the
+//! measure — the per-centre weights of a wedge measure
+//! ([`crate::neighborhood`]), the base matrix and coefficients of a walk
+//! series ([`crate::walk`]) — so concatenating bands of *any* height,
+//! including 1, reproduces the whole matrix bit for bit, for any thread
+//! count. `tests/blocked_pipeline.rs` pins this contract.
 
 use crate::neighborhood::{wedge_rows, wedge_weights};
+use crate::walk::WalkSeries;
 use crate::ProximityKind;
 use sp_graph::Graph;
 use sp_linalg::CsrRowBlock;
 use sp_parallel::{default_chunk_size, par_map_chunks, resolve_threads};
 use std::ops::Range;
 
-/// Streaming builder for the wedge-family proximities (CN, AA, RA):
-/// precomputes the per-centre weights once, then serves arbitrary
-/// row-bands on demand.
-pub struct WedgeBander<'g> {
+/// Rows per band in
+/// [`EdgeProximity::compute_threads`](crate::EdgeProximity::compute_threads).
+///
+/// Chosen by measurement on the BlogCatalog stand-in (10,312 nodes,
+/// 333,983 edges, DeepWalk window 2: ~4,600 entries per row; 2-CPU
+/// Xeon, 2 threads). Every height from 32 to 512 rows took 2.3–2.6 s,
+/// while the process peak grew with the height: 35 MiB at 32 rows,
+/// 61–65 MiB at 128, 98 MiB at 256, 145 MiB at 512 and 437 MiB at
+/// 4,096. 128 rows keeps a band small next to the trainer's own
+/// matrices and still gives each of 2–4 workers several chunks.
+pub const BAND_ROWS: usize = 128;
+
+/// Band builder for the six matrix-backed measures (CN, AA, RA, Katz,
+/// PPR, DeepWalk): precomputes what every row reads once, then serves
+/// arbitrary row bands on demand.
+pub struct RowBands<'g> {
     g: &'g Graph,
-    w: Vec<f64>,
+    source: Source,
 }
 
-impl<'g> WedgeBander<'g> {
-    /// A bander for `kind` on `g`, or `None` when `kind` is not a
-    /// wedge-family measure (walk measures need whole-matrix power
-    /// iterations; the degree family has a closed form and no matrix).
+/// What a band's rows are computed from.
+enum Source {
+    /// Wedge measures: the per-centre weights.
+    Wedge(Vec<f64>),
+    /// Walk measures: the truncated series.
+    Walk(WalkSeries),
+}
+
+impl<'g> RowBands<'g> {
+    /// A band builder for `kind` on `g`, or `None` for
+    /// [`ProximityKind::PreferentialAttachment`] and
+    /// [`ProximityKind::Degree`], whose matrices are dense by
+    /// construction and which have a closed form instead.
+    ///
+    /// # Panics
+    /// On a walk parameter outside its range: Katz `β ∉ (0,1)` or
+    /// `max_len == 0`, PPR `α ∉ (0,1)` or `iters == 0`, DeepWalk
+    /// `window == 0`.
     pub fn new(g: &'g Graph, kind: ProximityKind) -> Option<Self> {
-        let w = match kind {
-            ProximityKind::CommonNeighbors => wedge_weights(g, |_| 1.0),
-            ProximityKind::AdamicAdar => wedge_weights(g, |c| {
-                let d = g.degree(c);
-                if d >= 2 {
-                    1.0 / (d as f64).ln()
-                } else {
-                    0.0
-                }
-            }),
-            ProximityKind::ResourceAllocation => wedge_weights(g, |c| {
-                let d = g.degree(c);
-                if d >= 1 {
-                    1.0 / d as f64
-                } else {
-                    0.0
-                }
-            }),
-            _ => return None,
+        let source = match wedge_weights(g, kind) {
+            Some(w) => Source::Wedge(w),
+            None => Source::Walk(WalkSeries::new(g, kind)?),
         };
-        Some(Self { g, w })
+        Some(Self { g, source })
     }
 
     /// Number of matrix rows (`|V|`).
@@ -65,16 +76,18 @@ impl<'g> WedgeBander<'g> {
 
     /// Builds the band of output rows `rows`, parallelised over
     /// `threads` workers within the band. Bit-identical to the same
-    /// rows of the materialised matrix for any band height and thread
-    /// count.
+    /// rows of the whole matrix for any band height and thread count.
     pub fn band(&self, rows: Range<usize>, threads: Option<usize>) -> CsrRowBlock {
         assert!(rows.end <= self.rows(), "band out of bounds");
         let len = rows.len();
         let threads = resolve_threads(threads);
-        let chunk = default_chunk_size(len, threads);
         let start = rows.start;
-        let chunks = par_map_chunks(len, chunk, threads, |r| {
-            wedge_rows(self.g, &self.w, start + r.start..start + r.end)
+        let chunks = par_map_chunks(len, default_chunk_size(len, threads), threads, |r| {
+            let r = start + r.start..start + r.end;
+            match &self.source {
+                Source::Wedge(w) => wedge_rows(self.g, w, r),
+                Source::Walk(series) => series.rows(r),
+            }
         });
         let mut band = CsrRowBlock::default();
         for c in chunks {
@@ -84,31 +97,10 @@ impl<'g> WedgeBander<'g> {
     }
 }
 
-/// Common-neighbour counts for the rows in `rows` only.
-pub fn cn_band(g: &Graph, rows: Range<usize>, threads: Option<usize>) -> CsrRowBlock {
-    WedgeBander::new(g, ProximityKind::CommonNeighbors)
-        .unwrap()
-        .band(rows, threads)
-}
-
-/// Adamic–Adar scores for the rows in `rows` only.
-pub fn aa_band(g: &Graph, rows: Range<usize>, threads: Option<usize>) -> CsrRowBlock {
-    WedgeBander::new(g, ProximityKind::AdamicAdar)
-        .unwrap()
-        .band(rows, threads)
-}
-
-/// Resource-allocation scores for the rows in `rows` only.
-pub fn ra_band(g: &Graph, rows: Range<usize>, threads: Option<usize>) -> CsrRowBlock {
-    WedgeBander::new(g, ProximityKind::ResourceAllocation)
-        .unwrap()
-        .band(rows, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{proximity_matrix_threads, ProximityKind};
+    use crate::proximity_matrix_threads;
     use sp_linalg::CsrMatrix;
 
     fn bridged_triangles() -> Graph {
@@ -116,15 +108,12 @@ mod tests {
     }
 
     fn reassemble(g: &Graph, kind: ProximityKind, band_rows: usize) -> CsrMatrix {
-        let bander = WedgeBander::new(g, kind).unwrap();
-        let n = bander.rows();
-        let mut blocks = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + band_rows).min(n);
-            blocks.push(bander.band(start..end, Some(2)));
-            start = end;
-        }
+        let bands = RowBands::new(g, kind).unwrap();
+        let n = bands.rows();
+        let blocks = (0..n)
+            .step_by(band_rows)
+            .map(|start| bands.band(start..(start + band_rows).min(n), Some(2)))
+            .collect();
         CsrMatrix::from_row_blocks(n, n, blocks)
     }
 
@@ -135,6 +124,15 @@ mod tests {
             ProximityKind::CommonNeighbors,
             ProximityKind::AdamicAdar,
             ProximityKind::ResourceAllocation,
+            ProximityKind::Katz {
+                beta: 0.3,
+                max_len: 3,
+            },
+            ProximityKind::Ppr {
+                alpha: 0.15,
+                iters: 3,
+            },
+            ProximityKind::DeepWalk { window: 2 },
         ] {
             let full = proximity_matrix_threads(&g, kind, Some(1));
             for band_rows in [1, 2, 4, g.num_nodes()] {
@@ -145,30 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn free_functions_match_bander() {
+    fn degree_kinds_have_no_bands() {
         let g = bridged_triangles();
-        let direct = cn_band(&g, 1..4, Some(1));
-        let via = WedgeBander::new(&g, ProximityKind::CommonNeighbors)
-            .unwrap()
-            .band(1..4, Some(1));
-        assert_eq!(direct.row_nnz, via.row_nnz);
-        assert_eq!(direct.indices, via.indices);
-        assert_eq!(direct.data, via.data);
-        assert_eq!(aa_band(&g, 0..6, None).rows(), 6);
-        assert_eq!(ra_band(&g, 0..0, None).rows(), 0);
-    }
-
-    #[test]
-    fn non_wedge_kinds_are_rejected() {
-        let g = bridged_triangles();
-        assert!(WedgeBander::new(&g, ProximityKind::Degree).is_none());
-        assert!(WedgeBander::new(&g, ProximityKind::deepwalk_default()).is_none());
+        assert!(RowBands::new(&g, ProximityKind::Degree).is_none());
+        assert!(RowBands::new(&g, ProximityKind::PreferentialAttachment).is_none());
+        assert!(RowBands::new(&g, ProximityKind::deepwalk_default()).is_some());
     }
 
     #[test]
     #[should_panic(expected = "band out of bounds")]
     fn band_rejects_out_of_range() {
         let g = bridged_triangles();
-        cn_band(&g, 0..7, Some(1));
+        RowBands::new(&g, ProximityKind::CommonNeighbors)
+            .unwrap()
+            .band(0..7, Some(1));
     }
 }

@@ -19,11 +19,14 @@
 //! - **degree** proximity (`SE-PrivGEmb_Deg`): `p_ij = d_i d_j / 2|E|`,
 //!   computable in `O(|V|)` as the paper's complexity analysis states.
 //!
-//! Two consumption modes:
+//! Every matrix-backed measure is built one way, in row bands
+//! ([`band::RowBands`]), with two consumption modes:
 //! - [`EdgeProximity`]: weights for the training edges only, plus the
-//!   `min(P)` constant — all the trainer needs;
-//! - [`proximity_matrix`]: the full sparse matrix, for the Theorem 3
-//!   machinery and for analysis on small/medium graphs.
+//!   `min(P)` constant — all the trainer needs — read off bands of
+//!   [`band::BAND_ROWS`] rows, so the whole matrix is never resident;
+//! - [`proximity_matrix`]: the full sparse matrix (all rows as one
+//!   band), for the Theorem 3 machinery and for analysis on
+//!   small/medium graphs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +38,6 @@ pub mod walk;
 
 use sp_graph::Graph;
 use sp_linalg::{CooBuilder, CsrMatrix};
-use sp_mem::MemTracker;
 
 /// Which proximity measure to use (the "structure preference").
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -120,7 +122,7 @@ pub struct EdgeProximity {
 impl EdgeProximity {
     /// Computes mean-normalised edge weights for `kind` on `g`.
     ///
-    /// For matrix-backed measures this builds the sparse matrix once
+    /// For matrix-backed measures this streams the matrix in row bands
     /// and reads off the edge entries; for the degree family it is a
     /// closed form in the degrees.
     pub fn compute(g: &Graph, kind: ProximityKind) -> Self {
@@ -129,70 +131,29 @@ impl EdgeProximity {
 
     /// [`EdgeProximity::compute`] with an explicit worker-thread count
     /// for the matrix-backed measures (`None` resolves via
-    /// [`sp_parallel::resolve_threads`]). The result is bit-identical
-    /// for any thread count.
+    /// [`sp_parallel::resolve_threads`]).
+    ///
+    /// The matrix is built through [`band::RowBands`] in bands of
+    /// [`band::BAND_ROWS`] rows; each band's edge weights and positive
+    /// entries are read before the band is dropped, so peak transient
+    /// memory is one band instead of the whole matrix. The result is
+    /// bit-identical to edge lookups into [`proximity_matrix_threads`]
+    /// for any thread count: rows are band-independent, the edge
+    /// weights are read in the same canonical edge order, and `min`
+    /// over positives is an exact order-free fold.
     pub fn compute_threads(g: &Graph, kind: ProximityKind, threads: Option<usize>) -> Self {
-        let (raw_weights, raw_min): (Vec<f64>, f64) = match kind {
-            ProximityKind::PreferentialAttachment | ProximityKind::Degree => {
-                degree::degree_edge_weights(g)
-            }
-            _ => {
-                let m = proximity_matrix_threads(g, kind, threads);
-                let min_positive = m.min_positive().unwrap_or(1.0);
-                let weights = g
-                    .edges()
-                    .iter()
-                    .map(|&(u, v)| m.get(u as usize, v as usize))
-                    .collect();
-                (weights, min_positive)
-            }
+        let Some(bands) = band::RowBands::new(g, kind) else {
+            let (weights, raw_min) = degree::degree_edge_weights(g);
+            return Self::from_raw(weights, raw_min, kind);
         };
-        Self::from_raw(raw_weights, raw_min, kind)
-    }
-
-    /// Out-of-core variant of [`EdgeProximity::compute_threads`] for
-    /// the wedge-family measures (CN, AA, RA): streams the proximity
-    /// matrix through [`band::WedgeBander`] in row-bands of at most
-    /// `band_rows` rows, reading off the edge weights and the running
-    /// `min(P)` from each band before dropping it. Peak transient
-    /// memory is one band instead of the whole matrix.
-    ///
-    /// Bit-identical to the materialised path for any `band_rows >= 1`
-    /// and any thread count: wedge rows are chunk-independent, the
-    /// per-edge weights are read in the same canonical edge order, and
-    /// `min` over positives is an exact order-free fold.
-    ///
-    /// Measures outside the wedge family keep their existing path
-    /// (closed form for the degree family, materialised matrix for the
-    /// walk family, whose power iterations need the whole operator).
-    ///
-    /// With a `tracker`, every transient band is byte-accounted for
-    /// its residency window — how the scale bench and the RSS-budget
-    /// tests observe the blocked pipeline's peak.
-    pub fn compute_blocked(
-        g: &Graph,
-        kind: ProximityKind,
-        band_rows: usize,
-        threads: Option<usize>,
-        tracker: Option<&MemTracker>,
-    ) -> Self {
-        assert!(band_rows >= 1, "band_rows must be >= 1");
-        let Some(bander) = band::WedgeBander::new(g, kind) else {
-            return Self::compute_threads(g, kind, threads);
-        };
-        let n = bander.rows();
+        let n = bands.rows();
         let edges = g.edges();
         let mut weights = vec![0.0f64; edges.len()];
         let mut raw_min: Option<f64> = None;
         let mut cursor = 0usize; // next edge whose row is not yet seen
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + band_rows).min(n);
-            let block = bander.band(start..end, threads);
-            let bytes = block.heap_bytes();
-            if let Some(t) = tracker {
-                t.add(bytes);
-            }
+        for start in (0..n).step_by(band::BAND_ROWS) {
+            let end = (start + band::BAND_ROWS).min(n);
+            let block = bands.band(start..end, threads);
             // Exact running min over the band's positive entries:
             // f64::min over positives is associative and exact, so the
             // band-order fold equals CsrMatrix::min_positive bitwise.
@@ -205,9 +166,11 @@ impl EdgeProximity {
             // cursor through every canonical edge (u, v) with u in
             // this band — edges are sorted by u, so this is one pass.
             let mut offs = Vec::with_capacity(block.rows() + 1);
-            offs.push(0usize);
+            let mut at = 0usize;
+            offs.push(at);
             for &c in &block.row_nnz {
-                offs.push(offs.last().unwrap() + c);
+                at += c;
+                offs.push(at);
             }
             while cursor < edges.len() && (edges[cursor].0 as usize) < end {
                 let (u, v) = edges[cursor];
@@ -218,10 +181,6 @@ impl EdgeProximity {
                 }
                 cursor += 1;
             }
-            if let Some(t) = tracker {
-                t.release(bytes);
-            }
-            start = end;
         }
         Self::from_raw(weights, raw_min.unwrap_or(1.0), kind)
     }
@@ -271,12 +230,13 @@ pub fn proximity_matrix(g: &Graph, kind: ProximityKind) -> CsrMatrix {
 }
 
 /// [`proximity_matrix`] with an explicit worker-thread count (`None`
-/// resolves via [`sp_parallel::resolve_threads`]).
+/// resolves via [`sp_parallel::resolve_threads`]): all rows as one
+/// [`band::RowBands`] band.
 ///
-/// All sparse builders are row-partitioned with a fixed reduction
-/// order, so the matrix is **bit-identical for any thread count** —
-/// the determinism contract the DP pipeline and the paper tables rely
-/// on (see `tests/parallel_determinism.rs`).
+/// Every row is built with a fixed reduction order, so the matrix is
+/// **bit-identical for any thread count** — the determinism contract
+/// the DP pipeline and the paper tables rely on (see
+/// `tests/parallel_determinism.rs`).
 ///
 /// # Panics
 /// Same contract as [`proximity_matrix`].
@@ -285,24 +245,11 @@ pub fn proximity_matrix_threads(
     kind: ProximityKind,
     threads: Option<usize>,
 ) -> CsrMatrix {
-    match kind {
-        ProximityKind::CommonNeighbors => neighborhood::common_neighbors_matrix_threads(g, threads),
-        ProximityKind::AdamicAdar => neighborhood::adamic_adar_matrix_threads(g, threads),
-        ProximityKind::ResourceAllocation => {
-            neighborhood::resource_allocation_matrix_threads(g, threads)
-        }
-        ProximityKind::Katz { beta, max_len } => {
-            walk::katz_matrix_threads(g, beta, max_len, threads)
-        }
-        ProximityKind::Ppr { alpha, iters } => walk::ppr_matrix_threads(g, alpha, iters, threads),
-        ProximityKind::DeepWalk { window } => walk::deepwalk_matrix_threads(g, window, threads),
-        ProximityKind::PreferentialAttachment | ProximityKind::Degree => {
-            panic!(
-                "{:?} has a dense matrix; use EdgeProximity::compute or degree::degree_score",
-                kind
-            )
-        }
-    }
+    let bands = band::RowBands::new(g, kind).unwrap_or_else(|| {
+        panic!("{kind:?} has a dense matrix; use EdgeProximity::compute or degree::degree_score")
+    });
+    let n = bands.rows();
+    CsrMatrix::from_row_blocks(n, n, vec![bands.band(0..n, threads)])
 }
 
 /// Binary adjacency matrix of `g` as CSR.
@@ -332,6 +279,34 @@ mod tests {
         // Small fixed graph: two triangles bridged by an edge.
         //   0-1, 1-2, 0-2   3-4, 4-5, 3-5   2-3
         Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    }
+
+    /// Ring plus one chord per node: large enough to span several
+    /// bands of [`band::BAND_ROWS`] rows.
+    fn ring_with_chords(n: usize) -> Graph {
+        let ring = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32));
+        let chords = (0..n).map(|i| (i as u32, ((i + n / 3) % n) as u32));
+        Graph::from_edges(n, ring.chain(chords))
+    }
+
+    /// Every kind with a band builder.
+    const MATRIX_KINDS: [ProximityKind; 6] = [
+        ProximityKind::CommonNeighbors,
+        ProximityKind::AdamicAdar,
+        ProximityKind::ResourceAllocation,
+        ProximityKind::Katz {
+            beta: 0.5,
+            max_len: 3,
+        },
+        ProximityKind::Ppr {
+            alpha: 0.15,
+            iters: 4,
+        },
+        ProximityKind::DeepWalk { window: 2 },
+    ];
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -409,27 +384,31 @@ mod tests {
 
     #[test]
     fn compute_blocked_is_bit_identical_to_materialised() {
-        let g = karate_ish();
-        for kind in [
-            ProximityKind::CommonNeighbors,
-            ProximityKind::AdamicAdar,
-            ProximityKind::ResourceAllocation,
-        ] {
-            let full = EdgeProximity::compute_threads(&g, kind, Some(1));
-            for band_rows in [1, 2, 3, g.num_nodes()] {
+        // The banded edge path equals edge lookups into the whole
+        // matrix, bit for bit: within one band (karate_ish) and across
+        // several bands plus a remainder (the ring).
+        for g in [karate_ish(), ring_with_chords(2 * band::BAND_ROWS + 3)] {
+            for kind in MATRIX_KINDS {
+                let m = proximity_matrix_threads(&g, kind, Some(1));
+                let lookups = g
+                    .edges()
+                    .iter()
+                    .map(|&(u, v)| m.get(u as usize, v as usize))
+                    .collect();
+                let full = EdgeProximity::from_raw(lookups, m.min_positive().unwrap(), kind);
                 for threads in [1, 4] {
-                    let blocked =
-                        EdgeProximity::compute_blocked(&g, kind, band_rows, Some(threads), None);
+                    let banded = EdgeProximity::compute_threads(&g, kind, Some(threads));
+                    let n = g.num_nodes();
                     assert_eq!(
-                        blocked
-                            .weights
-                            .iter()
-                            .map(|w| w.to_bits())
-                            .collect::<Vec<_>>(),
-                        full.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-                        "{kind:?} band_rows={band_rows} threads={threads}"
+                        bits(&banded.weights),
+                        bits(&full.weights),
+                        "{kind:?} n={n} threads={threads}"
                     );
-                    assert_eq!(blocked.min_positive.to_bits(), full.min_positive.to_bits());
+                    assert_eq!(
+                        banded.min_positive.to_bits(),
+                        full.min_positive.to_bits(),
+                        "{kind:?} n={n} threads={threads}"
+                    );
                 }
             }
         }
@@ -437,40 +416,55 @@ mod tests {
 
     #[test]
     fn compute_blocked_falls_back_for_non_wedge_kinds() {
+        // PA and Degree have no band builder: the edge path falls back
+        // to the closed form in the degrees, for any thread count.
         let g = karate_ish();
-        for kind in [ProximityKind::Degree, ProximityKind::deepwalk_default()] {
-            let full = EdgeProximity::compute_threads(&g, kind, Some(1));
-            let blocked = EdgeProximity::compute_blocked(&g, kind, 2, Some(1), None);
-            assert_eq!(
-                blocked
-                    .weights
-                    .iter()
-                    .map(|w| w.to_bits())
-                    .collect::<Vec<_>>(),
-                full.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-            );
+        let (_, raw_min) = degree::degree_edge_weights(&g);
+        for kind in [ProximityKind::PreferentialAttachment, ProximityKind::Degree] {
+            assert!(band::RowBands::new(&g, kind).is_none(), "{kind:?}");
+            let raw = g
+                .edges()
+                .iter()
+                .map(|&(u, v)| degree::degree_score(&g, u, v))
+                .collect();
+            let closed = EdgeProximity::from_raw(raw, raw_min, kind);
+            for threads in [1, 4] {
+                let p = EdgeProximity::compute_threads(&g, kind, Some(threads));
+                assert_eq!(p.kind, kind);
+                assert_eq!(bits(&p.weights), bits(&closed.weights), "{kind:?}");
+                assert_eq!(p.min_positive.to_bits(), closed.min_positive.to_bits());
+            }
         }
     }
 
     #[test]
     fn compute_blocked_accounts_transient_bands() {
-        let g = karate_ish();
-        let t = MemTracker::new();
-        let p = EdgeProximity::compute_blocked(
-            &g,
+        // The bands the edge path drains account for the whole matrix —
+        // their entries add up to its nnz — while each one, resident
+        // alone, holds less than the whole matrix.
+        let g = ring_with_chords(4 * band::BAND_ROWS + 3);
+        let n = g.num_nodes();
+        for kind in [
             ProximityKind::CommonNeighbors,
-            2,
-            Some(1),
-            Some(&t),
-        );
-        assert_eq!(p.len(), g.num_edges());
-        // Bands are released as they are drained: nothing left resident,
-        // but the peak saw at least one band.
-        assert_eq!(t.current(), 0);
-        assert!(t.peak() > 0);
-        // A one-row band's peak is bounded by the whole matrix's heap.
-        let full = proximity_matrix(&g, ProximityKind::CommonNeighbors);
-        assert!(t.peak() <= full.heap_bytes());
+            ProximityKind::deepwalk_default(),
+        ] {
+            let full = proximity_matrix_threads(&g, kind, Some(1));
+            let bands = band::RowBands::new(&g, kind).expect("matrix-backed kind");
+            let mut nnz = 0usize;
+            let mut largest = 0u64;
+            for start in (0..n).step_by(band::BAND_ROWS) {
+                let block = bands.band(start..(start + band::BAND_ROWS).min(n), Some(1));
+                nnz += block.data.len();
+                largest = largest.max(block.heap_bytes());
+            }
+            assert_eq!(nnz, full.nnz(), "{kind:?}");
+            assert!(largest > 0, "{kind:?}");
+            assert!(
+                largest < full.heap_bytes(),
+                "{kind:?}: largest band {largest} bytes vs whole matrix {}",
+                full.heap_bytes()
+            );
+        }
     }
 
     #[test]

@@ -16,19 +16,31 @@
 //! chunked over threads, so the matrix is bit-identical for any thread
 //! count.
 
+use crate::ProximityKind;
 use sp_graph::{Graph, NodeId};
-use sp_linalg::{CsrMatrix, CsrRowBlock};
-use sp_parallel::{default_chunk_size, par_map_chunks, resolve_threads};
+use sp_linalg::CsrRowBlock;
 use std::ops::Range;
 
-/// Per-node wedge-centre weights for a measure: `w[c]` is what centre
-/// `c` contributes to each of its neighbour pairs. All weights must be
-/// non-negative — a strictly positive partial sum is what lets the
-/// scratch row use exact zero as its "untouched" marker.
-pub(crate) fn wedge_weights(g: &Graph, weight: impl Fn(NodeId) -> f64) -> Vec<f64> {
-    let w: Vec<f64> = (0..g.num_nodes() as NodeId).map(weight).collect();
-    debug_assert!(w.iter().all(|&c| c >= 0.0), "wedge weights must be >= 0");
-    w
+/// Per-node wedge-centre weights of a wedge-family `kind`: `w[c]` is
+/// what centre `c` contributes to each of its neighbour pairs, or
+/// `None` when `kind` is not CN/AA/RA. All weights are non-negative —
+/// a strictly positive partial sum is what lets the scratch row use
+/// exact zero as its "untouched" marker.
+///
+/// Adamic–Adar skips centres of degree 1: they cannot close a wedge,
+/// and `ln(1) = 0` would divide by zero anyway.
+pub(crate) fn wedge_weights(g: &Graph, kind: ProximityKind) -> Option<Vec<f64>> {
+    let weight: fn(usize) -> f64 = match kind {
+        ProximityKind::CommonNeighbors => |_| 1.0,
+        ProximityKind::AdamicAdar => |d| if d >= 2 { 1.0 / (d as f64).ln() } else { 0.0 },
+        ProximityKind::ResourceAllocation => |d| if d >= 1 { 1.0 / d as f64 } else { 0.0 },
+        _ => return None,
+    };
+    Some(
+        (0..g.num_nodes() as NodeId)
+            .map(|c| weight(g.degree(c)))
+            .collect(),
+    )
 }
 
 /// Wedge enumeration restricted to the output rows in `rows`:
@@ -36,8 +48,8 @@ pub(crate) fn wedge_weights(g: &Graph, weight: impl Fn(NodeId) -> f64) -> Vec<f6
 ///
 /// Each output row reads only `g` and `w`, so any partition of
 /// `0..n` into ranges concatenates (in row order) to the bit-identical
-/// full matrix — the seam both the threaded materialised builder and
-/// the out-of-core band builder ([`crate::band`]) go through.
+/// full matrix — the seam the row-band builder ([`crate::band`]) goes
+/// through for every band height and thread count.
 pub(crate) fn wedge_rows(g: &Graph, w: &[f64], rows: Range<usize>) -> CsrRowBlock {
     let n = g.num_nodes();
     let mut block = CsrRowBlock {
@@ -75,76 +87,11 @@ pub(crate) fn wedge_rows(g: &Graph, w: &[f64], rows: Range<usize>) -> CsrRowBloc
     block
 }
 
-/// Shared wedge-enumeration core: `p_ij = Σ_{w ∈ N(i)∩N(j)} weight(w)`.
-fn wedge_matrix(g: &Graph, weight: impl Fn(NodeId) -> f64, threads: Option<usize>) -> CsrMatrix {
-    let n = g.num_nodes();
-    let w = wedge_weights(g, weight);
-    let threads = resolve_threads(threads);
-    let chunk = default_chunk_size(n, threads);
-    let blocks = par_map_chunks(n, chunk, threads, |rows| wedge_rows(g, &w, rows));
-    CsrMatrix::from_row_blocks(n, n, blocks)
-}
-
-/// Common-neighbour counts: `p_ij = |N(i) ∩ N(j)|` for `i ≠ j`.
-pub fn common_neighbors_matrix(g: &Graph) -> CsrMatrix {
-    common_neighbors_matrix_threads(g, None)
-}
-
-/// [`common_neighbors_matrix`] with an explicit worker-thread count.
-pub fn common_neighbors_matrix_threads(g: &Graph, threads: Option<usize>) -> CsrMatrix {
-    wedge_matrix(g, |_| 1.0, threads)
-}
-
-/// Adamic–Adar: `p_ij = Σ_{w ∈ N(i)∩N(j)} 1/ln(d_w)`.
-///
-/// Centres of degree 1 cannot close a wedge, and `ln(1) = 0` would
-/// divide by zero anyway; they are skipped. Degree-2+ centres use
-/// `1/ln(d_w)` as defined.
-pub fn adamic_adar_matrix(g: &Graph) -> CsrMatrix {
-    adamic_adar_matrix_threads(g, None)
-}
-
-/// [`adamic_adar_matrix`] with an explicit worker-thread count.
-pub fn adamic_adar_matrix_threads(g: &Graph, threads: Option<usize>) -> CsrMatrix {
-    wedge_matrix(
-        g,
-        |w| {
-            let d = g.degree(w);
-            if d >= 2 {
-                1.0 / (d as f64).ln()
-            } else {
-                0.0
-            }
-        },
-        threads,
-    )
-}
-
-/// Resource allocation: `p_ij = Σ_{w ∈ N(i)∩N(j)} 1/d_w`.
-pub fn resource_allocation_matrix(g: &Graph) -> CsrMatrix {
-    resource_allocation_matrix_threads(g, None)
-}
-
-/// [`resource_allocation_matrix`] with an explicit worker-thread count.
-pub fn resource_allocation_matrix_threads(g: &Graph, threads: Option<usize>) -> CsrMatrix {
-    wedge_matrix(
-        g,
-        |w| {
-            let d = g.degree(w);
-            if d >= 1 {
-                1.0 / d as f64
-            } else {
-                0.0
-            }
-        },
-        threads,
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use sp_graph::algo;
+    use crate::proximity_matrix;
+    use crate::ProximityKind::{AdamicAdar, CommonNeighbors, ResourceAllocation};
+    use sp_graph::{algo, Graph};
 
     /// 4-cycle: 0-1-2-3-0. Opposite corners share exactly 2 neighbours.
     fn cycle4() -> Graph {
@@ -154,7 +101,7 @@ mod tests {
     #[test]
     fn common_neighbors_on_cycle() {
         let g = cycle4();
-        let m = common_neighbors_matrix(&g);
+        let m = proximity_matrix(&g, CommonNeighbors);
         assert_eq!(m.get(0, 2), 2.0); // via 1 and 3
         assert_eq!(m.get(1, 3), 2.0); // via 0 and 2
         assert_eq!(m.get(0, 1), 0.0); // adjacent but no triangle
@@ -178,7 +125,7 @@ mod tests {
                 (2, 6),
             ],
         );
-        let m = common_neighbors_matrix(&g);
+        let m = proximity_matrix(&g, CommonNeighbors);
         for i in 0..7u32 {
             for j in 0..7u32 {
                 if i == j {
@@ -194,7 +141,7 @@ mod tests {
     fn adamic_adar_weights_by_inverse_log_degree() {
         // Star with centre 0 of degree 3: every leaf pair gets 1/ln 3.
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
-        let m = adamic_adar_matrix(&g);
+        let m = proximity_matrix(&g, AdamicAdar);
         let w = 1.0 / 3.0f64.ln();
         assert!((m.get(1, 2) - w).abs() < 1e-12);
         assert!((m.get(1, 3) - w).abs() < 1e-12);
@@ -205,7 +152,7 @@ mod tests {
     fn adamic_adar_skips_degree_one_and_would_be_infinite_centres() {
         // Path 0-1-2: centre 1 has degree 2 -> weight 1/ln 2, finite.
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
-        let m = adamic_adar_matrix(&g);
+        let m = proximity_matrix(&g, AdamicAdar);
         assert!((m.get(0, 2) - 1.0 / 2.0f64.ln()).abs() < 1e-12);
         assert!(m.iter().all(|(_, _, v)| v.is_finite()));
     }
@@ -213,7 +160,7 @@ mod tests {
     #[test]
     fn resource_allocation_on_star() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
-        let m = resource_allocation_matrix(&g);
+        let m = proximity_matrix(&g, ResourceAllocation);
         assert!((m.get(1, 2) - 1.0 / 3.0).abs() < 1e-12);
         assert!(m.is_symmetric());
     }
@@ -234,8 +181,8 @@ mod tests {
                 (3, 5),
             ],
         );
-        let cn = common_neighbors_matrix(&g);
-        let ra = resource_allocation_matrix(&g);
+        let cn = proximity_matrix(&g, CommonNeighbors);
+        let ra = proximity_matrix(&g, ResourceAllocation);
         for (i, j, v) in ra.iter() {
             assert!(v <= cn.get(i, j) + 1e-12, "RA > CN at ({i},{j})");
         }
@@ -244,8 +191,8 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty_matrix() {
         let g = Graph::from_edges(3, std::iter::empty());
-        assert_eq!(common_neighbors_matrix(&g).nnz(), 0);
-        assert_eq!(adamic_adar_matrix(&g).nnz(), 0);
-        assert_eq!(resource_allocation_matrix(&g).nnz(), 0);
+        assert_eq!(proximity_matrix(&g, CommonNeighbors).nnz(), 0);
+        assert_eq!(proximity_matrix(&g, AdamicAdar).nnz(), 0);
+        assert_eq!(proximity_matrix(&g, ResourceAllocation).nnz(), 0);
     }
 }

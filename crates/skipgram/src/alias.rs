@@ -40,17 +40,7 @@ impl AliasTable {
         }
         let n = weights.len();
         let scale = n as f64 / total;
-        let prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        Self::from_scaled_probs(prob)
-    }
-
-    /// Runs the bucket-partition loop on already-scaled probabilities
-    /// (`prob[i] = w_i · n / Σw`). Shared by [`AliasTable::new`] and
-    /// [`AliasTableBuilder::finish`], so the streamed and materialised
-    /// constructions execute the exact same arithmetic and produce
-    /// bit-identical tables.
-    fn from_scaled_probs(mut prob: Vec<f64>) -> Self {
-        let n = prob.len();
+        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
         let mut alias = vec![0u32; n];
 
         // Partition buckets into under- and over-full.
@@ -98,111 +88,6 @@ impl AliasTable {
         } else {
             self.alias[i]
         }
-    }
-
-    /// The raw bucket arrays `(prob, alias)` — exposed so tests can
-    /// assert bit-identity between construction paths.
-    pub fn buckets(&self) -> (&[f64], &[u32]) {
-        (&self.prob, &self.alias)
-    }
-}
-
-/// Incremental two-pass [`AliasTable`] construction for weights that
-/// arrive as a stream of chunks (proximity row-bands, degree bands)
-/// rather than one resident slice.
-///
-/// Pass 1 ([`AliasTableBuilder::push_mass`]) accumulates the total
-/// mass in chunk order; pass 2 ([`AliasTableBuilder::push_fill`])
-/// streams the *same* weights again and fills the scaled-probability
-/// array. Peak memory is the table itself plus one chunk — the weight
-/// source is never materialised whole.
-///
-/// Determinism: the mass pass adds weights in index order, exactly
-/// like `weights.iter().sum::<f64>()` over the concatenated stream,
-/// and [`AliasTableBuilder::finish`] runs the same partition loop as
-/// [`AliasTable::new`], so for any chunking the finished table is
-/// bit-identical to the materialised construction.
-#[derive(Clone, Debug, Default)]
-pub struct AliasTableBuilder {
-    total: f64,
-    count: usize,
-    scale: Option<f64>,
-    prob: Vec<f64>,
-}
-
-impl AliasTableBuilder {
-    /// An empty builder awaiting its first mass chunk.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pass 1: accounts a chunk of weights (in stream order) toward
-    /// the total mass.
-    ///
-    /// # Panics
-    /// Panics on a negative or non-finite weight (same contract as
-    /// [`AliasTable::new`]), or if called after pass 2 has begun.
-    pub fn push_mass(&mut self, weights: &[f64]) {
-        assert!(
-            self.scale.is_none(),
-            "push_mass after the fill pass has begun"
-        );
-        for &w in weights {
-            assert!(w >= 0.0 && w.is_finite(), "weight {w} invalid");
-            self.total += w;
-        }
-        self.count += weights.len();
-    }
-
-    /// Outcomes seen by the mass pass so far.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True before the first outcome has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Pass 2: streams the same weights again, in the same order,
-    /// filling the scaled-probability array.
-    ///
-    /// # Panics
-    /// On the first call, panics if the mass pass saw no outcomes or a
-    /// non-positive/non-finite total (same messages as
-    /// [`AliasTable::new`]); later calls panic if the fill overruns the
-    /// mass pass's outcome count.
-    pub fn push_fill(&mut self, weights: &[f64]) {
-        let scale = *self.scale.get_or_insert_with(|| {
-            assert!(self.count > 0, "alias table needs at least one outcome");
-            assert!(
-                self.total > 0.0 && self.total.is_finite(),
-                "weights must sum to a positive finite value"
-            );
-            self.prob.reserve_exact(self.count);
-            self.count as f64 / self.total
-        });
-        assert!(
-            self.prob.len() + weights.len() <= self.count,
-            "fill pass saw more outcomes than the mass pass"
-        );
-        self.prob.extend(weights.iter().map(|&w| w * scale));
-    }
-
-    /// Finalises into an [`AliasTable`].
-    ///
-    /// # Panics
-    /// Panics if the fill pass did not replay exactly the outcomes the
-    /// mass pass counted.
-    pub fn finish(mut self) -> AliasTable {
-        self.push_fill(&[]); // trigger first-fill validation when both passes were empty
-        assert!(
-            self.prob.len() == self.count,
-            "fill pass saw {} of {} outcomes",
-            self.prob.len(),
-            self.count
-        );
-        AliasTable::from_scaled_probs(self.prob)
     }
 }
 
@@ -270,97 +155,6 @@ mod tests {
         let total: f64 = w.iter().sum();
         assert!((freq[0] - 1.0 / total).abs() < 0.01);
         assert!((freq[1] - 0.5 / total).abs() < 0.01);
-    }
-
-    fn assert_same_buckets(a: &AliasTable, b: &AliasTable) {
-        let (ap, aa) = a.buckets();
-        let (bp, ba) = b.buckets();
-        assert_eq!(aa, ba);
-        assert_eq!(
-            ap.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            bp.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
-    fn builder_matches_materialised_for_any_chunking() {
-        let w: Vec<f64> = (1..=37).map(|i| 1.0 / i as f64).collect();
-        let reference = AliasTable::new(&w);
-        for chunk in [1usize, 7, w.len()] {
-            let mut b = AliasTableBuilder::new();
-            for c in w.chunks(chunk) {
-                b.push_mass(c);
-            }
-            assert_eq!(b.len(), w.len());
-            for c in w.chunks(chunk) {
-                b.push_fill(c);
-            }
-            let streamed = b.finish();
-            assert_same_buckets(&reference, &streamed);
-        }
-    }
-
-    #[test]
-    fn builder_sampling_agrees_with_table() {
-        let w = [3.0, 0.0, 1.0, 2.0];
-        let mut b = AliasTableBuilder::new();
-        b.push_mass(&w);
-        b.push_fill(&w);
-        let t = b.finish();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut counts = [0usize; 4];
-        for _ in 0..200_000 {
-            counts[t.sample(&mut rng) as usize] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        assert!((counts[0] as f64 / 200_000.0 - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one outcome")]
-    fn builder_rejects_empty() {
-        AliasTableBuilder::new().finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive finite")]
-    fn builder_rejects_all_zero() {
-        let mut b = AliasTableBuilder::new();
-        b.push_mass(&[0.0, 0.0]);
-        b.push_fill(&[0.0, 0.0]);
-        b.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid")]
-    fn builder_rejects_negative() {
-        AliasTableBuilder::new().push_mass(&[1.0, -0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "more outcomes than the mass pass")]
-    fn builder_rejects_fill_overrun() {
-        let mut b = AliasTableBuilder::new();
-        b.push_mass(&[1.0]);
-        b.push_fill(&[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "after the fill pass")]
-    fn builder_rejects_mass_after_fill() {
-        let mut b = AliasTableBuilder::new();
-        b.push_mass(&[1.0]);
-        b.push_fill(&[1.0]);
-        b.push_mass(&[2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "fill pass saw 1 of 2 outcomes")]
-    fn builder_rejects_incomplete_fill() {
-        let mut b = AliasTableBuilder::new();
-        b.push_mass(&[1.0, 2.0]);
-        b.push_fill(&[1.0]);
-        b.finish();
     }
 
     #[test]

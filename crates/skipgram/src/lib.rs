@@ -33,7 +33,7 @@ pub mod theory;
 pub mod trainer;
 pub mod walks;
 
-pub use alias::{AliasTable, AliasTableBuilder};
+pub use alias::AliasTable;
 pub use model::SkipGramModel;
 pub use perturb::PerturbStrategy;
 pub use subgraph::{generate_subgraphs, NegativeSampling, Subgraph, SubgraphGen};

@@ -13,7 +13,7 @@
 //! drawn ∝ degree, Eq. 14) so the ablation harness can contrast
 //! Theorem 3's design against it.
 
-use crate::alias::{AliasTable, AliasTableBuilder};
+use crate::alias::AliasTable;
 use crate::walks::splitmix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,11 +45,6 @@ pub enum NegativeSampling {
     DegreeProportional,
 }
 
-/// Band height for streaming the degree weights into the alias
-/// builder: big enough to amortise the pass, small enough that the
-/// transient band is negligible next to the table itself.
-const DEGREE_BAND: usize = 4096;
-
 /// Algorithm 1 as an *indexable generator*: subgraph `e` is a pure
 /// function of `(graph, k, sampling, base_seed, e)`, derived from a
 /// per-edge `SmallRng` exactly like the seeded walk corpus derives
@@ -58,8 +53,8 @@ const DEGREE_BAND: usize = 4096;
 /// Two consequences:
 /// - **memory**: a consumer can regenerate any subgraph on demand —
 ///   O(k) transient per sample — instead of holding the `O(|E|·k)`
-///   set `G_S`, which is the trainer's out-of-core mode
-///   (`TrainConfig::subgraph_shard_edges`);
+///   set `G_S`; the trainer regenerates every sampled subgraph this
+///   way;
 /// - **sharding**: [`SubgraphGen::range`] yields any edge-partitioned
 ///   shard of `G_S`, and concatenating shards in index order is
 ///   identical to [`generate_subgraphs`] over the full edge set.
@@ -74,12 +69,9 @@ pub struct SubgraphGen<'g> {
 }
 
 impl<'g> SubgraphGen<'g> {
-    /// A generator over the edges of `g` with `k` negatives per edge.
-    ///
-    /// For [`NegativeSampling::DegreeProportional`] the degree alias
-    /// table is built through the streaming [`AliasTableBuilder`] in
-    /// bands of `DEGREE_BAND` (4096) nodes — bit-identical to the
-    /// materialised construction, without a resident weight vector.
+    /// A generator over the edges of `g` with `k` negatives per edge
+    /// (for [`NegativeSampling::DegreeProportional`], plus the degree
+    /// alias table).
     ///
     /// # Panics
     /// Panics when `k == 0` or the graph has fewer than two nodes.
@@ -88,24 +80,10 @@ impl<'g> SubgraphGen<'g> {
         assert!(g.num_nodes() >= 2, "need at least two nodes");
         let alias = match sampling {
             NegativeSampling::DegreeProportional => {
-                let n = g.num_nodes();
-                let mut b = AliasTableBuilder::new();
-                let mut band = Vec::with_capacity(DEGREE_BAND.min(n));
-                for pass in 0..2 {
-                    let mut start = 0usize;
-                    while start < n {
-                        let end = (start + DEGREE_BAND).min(n);
-                        band.clear();
-                        band.extend((start..end).map(|v| g.degree(v as NodeId) as f64));
-                        if pass == 0 {
-                            b.push_mass(&band);
-                        } else {
-                            b.push_fill(&band);
-                        }
-                        start = end;
-                    }
-                }
-                Some(b.finish())
+                let degrees: Vec<f64> = (0..g.num_nodes() as NodeId)
+                    .map(|v| g.degree(v) as f64)
+                    .collect();
+                Some(AliasTable::new(&degrees))
             }
             NegativeSampling::UniformNonNeighbor => None,
         };

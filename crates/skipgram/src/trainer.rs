@@ -18,14 +18,13 @@
 
 use crate::model::{GradBuffer, SkipGramModel};
 use crate::perturb::PerturbStrategy;
-use crate::subgraph::{generate_subgraphs, NegativeSampling, Subgraph, SubgraphGen};
+use crate::subgraph::{NegativeSampling, SubgraphGen};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sp_dp::{BudgetedAccountant, GaussianSampler, PrivacyBudget};
 use sp_graph::{Graph, NodeId};
 use sp_linalg::{vector, DenseMatrix};
 use sp_proximity::EdgeProximity;
-use std::borrow::Cow;
 use std::io;
 use std::path::PathBuf;
 
@@ -75,19 +74,6 @@ pub struct TrainConfig {
     /// the trained model and the privacy spend are byte-identical for
     /// every thread count (asserted by `tests/parallel_determinism.rs`).
     pub threads: Option<usize>,
-    /// Out-of-core subgraph mode. `None` (the default) materialises
-    /// the whole `G_S` up front, as Algorithm 1 is written. `Some(s)`
-    /// keeps only a [`SubgraphGen`] and regenerates each sampled
-    /// subgraph on demand from its edge index — peak subgraph memory
-    /// drops from `O(|E|·k)` to `O(B·k)`; `s` (≥ 1) is the
-    /// edge-partition shard height out-of-core drivers use when they
-    /// walk `G_S` shard-by-shard via [`SubgraphGen::range`] (the
-    /// trainer's own sampling is per-index and ignores the height).
-    ///
-    /// Because every subgraph's randomness is derived from its edge
-    /// index, both modes draw identical subgraphs: the trained model,
-    /// report, and privacy spend are byte-identical for any `s`.
-    pub subgraph_shard_edges: Option<usize>,
     /// Crash safety: emit a [`TrainerState`] snapshot to the checkpoint
     /// sink every this many completed steps (`None` disables). The
     /// cadence is not part of the run's identity — changing it between
@@ -119,7 +105,6 @@ impl Default for TrainConfig {
             negative_sampling: NegativeSampling::UniformNonNeighbor,
             seed: 0x5EED,
             threads: None,
-            subgraph_shard_edges: None,
             checkpoint_every: None,
             checkpoint_dir: None,
         }
@@ -147,9 +132,6 @@ impl TrainConfig {
         if self.threads == Some(0) {
             return Err("threads must be >= 1 when set".into());
         }
-        if self.subgraph_shard_edges == Some(0) {
-            return Err("subgraph_shard_edges must be >= 1 when set".into());
-        }
         if self.checkpoint_every == Some(0) {
             return Err("checkpoint_every must be >= 1 when set".into());
         }
@@ -174,9 +156,8 @@ impl TrainConfig {
     /// mis-account privacy).
     ///
     /// Deliberately excluded, because they never change results:
-    /// `threads` (a crash on a 4-core box may resume on 1 core),
-    /// `subgraph_shard_edges` (streamed and materialised modes are
-    /// bit-identical), and the checkpoint cadence/location themselves.
+    /// `threads` (a crash on a 4-core box may resume on 1 core) and the
+    /// checkpoint cadence/location themselves.
     pub fn fingerprint(&self, num_nodes: usize, num_edges: usize) -> u64 {
         let strategy = match self.strategy {
             PerturbStrategy::None => 0u64,
@@ -398,28 +379,12 @@ impl Trainer {
         );
 
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        // Line 2: G_S via Algorithm 1 — materialised, or (out-of-core
-        // mode) a generator that regenerates each sampled subgraph on
-        // demand. Both consume exactly one base-seed draw from the run
-        // RNG and derive every subgraph from its edge index, so the
-        // two modes see identical subgraphs and identical downstream
-        // RNG streams: the trained model is byte-identical either way.
-        let subgraphs: SubgraphSource<'_> = if cfg.subgraph_shard_edges.is_some() {
-            let base_seed: u64 = rng.gen();
-            SubgraphSource::Streamed(SubgraphGen::new(
-                g,
-                cfg.negatives,
-                cfg.negative_sampling,
-                base_seed,
-            ))
-        } else {
-            SubgraphSource::Materialised(generate_subgraphs(
-                g,
-                cfg.negatives,
-                cfg.negative_sampling,
-                &mut rng,
-            ))
-        };
+        // Line 2: G_S via Algorithm 1, as a generator that regenerates
+        // each sampled subgraph on demand from its edge index — the
+        // same subgraphs `generate_subgraphs` would materialise from
+        // this one base-seed draw, in O(B·k) memory instead of O(|E|·k).
+        let base_seed: u64 = rng.gen();
+        let subgraphs = SubgraphGen::new(g, cfg.negatives, cfg.negative_sampling, base_seed);
         // Line 3: initialise Θ (or warm-start from a published model;
         // the fresh init is still drawn to keep the RNG stream — and
         // therefore batch/noise sequences — identical in both paths).
@@ -519,7 +484,7 @@ impl Trainer {
                     // Compute + clip per-example gradients in parallel,
                     // then reduce serially in batch-sample order.
                     let grads = sp_parallel::par_map(&picked, threads, |&i| {
-                        let sg = subgraphs.get(i);
+                        let sg = subgraphs.generate(i);
                         let p = prox.weights[sg.edge_index];
                         let loss = if final_epoch { model.loss(&sg, p) } else { 0.0 };
                         let mut ebuf = GradBuffer::new();
@@ -536,7 +501,7 @@ impl Trainer {
                     }
                 } else {
                     for i in idx.iter() {
-                        let sg = subgraphs.get(i);
+                        let sg = subgraphs.generate(i);
                         let p = prox.weights[sg.edge_index];
                         if final_epoch {
                             loss_stats.0 += model.loss(&sg, p);
@@ -663,23 +628,6 @@ impl Trainer {
     }
 }
 
-/// Where the trainer's subgraphs come from: the whole materialised
-/// `G_S`, or an on-demand generator (out-of-core mode). Both hand out
-/// the same subgraph for the same index.
-enum SubgraphSource<'g> {
-    Materialised(Vec<Subgraph>),
-    Streamed(SubgraphGen<'g>),
-}
-
-impl SubgraphSource<'_> {
-    fn get(&self, i: usize) -> Cow<'_, Subgraph> {
-        match self {
-            SubgraphSource::Materialised(v) => Cow::Borrowed(&v[i]),
-            SubgraphSource::Streamed(gen) => Cow::Owned(gen.generate(i)),
-        }
-    }
-}
-
 /// Batch gradient accumulators with touched-row tracking: reused
 /// across every step of a run, zeroed row-by-row (only touched rows
 /// are ever dirty).
@@ -771,7 +719,6 @@ mod tests {
             negative_sampling: NegativeSampling::UniformNonNeighbor,
             seed: 99,
             threads: None,
-            subgraph_shard_edges: None,
             checkpoint_every: None,
             checkpoint_dir: None,
         }
@@ -828,31 +775,6 @@ mod tests {
         let (_, rep) = Trainer::new(cfg).train(&g, &prox);
         assert!(rep.stopped_by_budget);
         assert!(rep.epochs_run < 100);
-    }
-
-    #[test]
-    fn streamed_subgraphs_are_bit_identical_to_materialised() {
-        let g = ring_with_chords(40);
-        let prox = EdgeProximity::compute(&g, ProximityKind::deepwalk_default());
-        for sampling in [
-            NegativeSampling::UniformNonNeighbor,
-            NegativeSampling::DegreeProportional,
-        ] {
-            let mut cfg = quick_config(PerturbStrategy::NonZero);
-            cfg.negative_sampling = sampling;
-            let (mat, mat_rep) = Trainer::new(cfg.clone()).train(&g, &prox);
-            for shard in [1usize, 7, g.num_edges()] {
-                cfg.subgraph_shard_edges = Some(shard);
-                let (st, st_rep) = Trainer::new(cfg.clone()).train(&g, &prox);
-                assert_eq!(mat.w_in.as_slice(), st.w_in.as_slice(), "{sampling:?}");
-                assert_eq!(mat.w_out.as_slice(), st.w_out.as_slice(), "{sampling:?}");
-                assert_eq!(mat_rep.steps_run, st_rep.steps_run);
-                assert_eq!(
-                    mat_rep.epsilon_spent.to_bits(),
-                    st_rep.epsilon_spent.to_bits()
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! DeepWalk treats truncated random walks as sentences and feeds
 //! window co-occurrences to skip-gram. SE-PrivGEmb replaces the
 //! sampled corpus with the *analytic* walk proximity
-//! `M = (1/T) Σ_t Â^t` (see `sp_proximity::walk::deepwalk_matrix`),
+//! `M = (1/T) Σ_t Â^t` (see `sp_proximity::walk`),
 //! which is what makes the per-edge sensitivity analysis tractable.
 //! This module provides the classic sampled machinery anyway:
 //!
@@ -131,31 +131,13 @@ pub fn corpus_pairs_seeded(
     seed: u64,
     threads: Option<usize>,
 ) -> Vec<(NodeId, NodeId)> {
-    let total = g.num_nodes() * cfg.walks_per_node;
-    corpus_pairs_band(g, cfg, seed, 0..total, threads)
-}
-
-/// The pairs of walk indices `walks` only — the out-of-core band of a
-/// seeded corpus. Because each walk's randomness is derived from its
-/// index, concatenating bands of any size in index order is
-/// byte-identical to [`corpus_pairs_seeded`] over the full range, so a
-/// consumer can stream the corpus without ever holding all of it.
-pub fn corpus_pairs_band(
-    g: &Graph,
-    cfg: WalkConfig,
-    seed: u64,
-    walks: std::ops::Range<usize>,
-    threads: Option<usize>,
-) -> Vec<(NodeId, NodeId)> {
     assert!(cfg.window >= 1 && cfg.walk_length >= 1 && cfg.walks_per_node >= 1);
     let total = g.num_nodes() * cfg.walks_per_node;
-    assert!(walks.end <= total, "walk band out of bounds");
-    let base = walks.start;
     let threads = sp_parallel::resolve_threads(threads);
-    let chunk = sp_parallel::default_chunk_size(walks.len(), threads);
-    let blocks = sp_parallel::par_map_chunks(walks.len(), chunk, threads, |r| {
+    let chunk = sp_parallel::default_chunk_size(total, threads);
+    let blocks = sp_parallel::par_map_chunks(total, chunk, threads, |walks| {
         let mut pairs = Vec::new();
-        for widx in base + r.start..base + r.end {
+        for widx in walks {
             let start = (widx / cfg.walks_per_node) as NodeId;
             let mut rng = walk_rng(seed, widx as u64);
             let walk = random_walk(g, start, cfg.walk_length, &mut rng);
@@ -163,16 +145,12 @@ pub fn corpus_pairs_band(
         }
         pairs
     });
-    let mut pairs = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-    for block in blocks {
-        pairs.extend(block);
-    }
-    pairs
+    blocks.concat()
 }
 
 /// Empirical walk-proximity matrix: row-normalised co-occurrence
 /// counts from a sampled corpus. As the corpus grows this converges
-/// to the analytic `deepwalk_matrix` with the same window (law of
+/// to the analytic DeepWalk proximity with the same window (law of
 /// large numbers over walk transitions) — the property test that ties
 /// the sampled and analytic pipelines together.
 pub fn empirical_proximity<R: Rng + ?Sized>(g: &Graph, cfg: WalkConfig, rng: &mut R) -> CsrMatrix {
@@ -267,7 +245,8 @@ mod tests {
             window: 2,
         };
         let empirical = empirical_proximity(&g, cfg, &mut rng);
-        let analytic = sp_proximity::walk::deepwalk_matrix(&g, 2);
+        let analytic =
+            sp_proximity::proximity_matrix(&g, sp_proximity::ProximityKind::DeepWalk { window: 2 });
         for i in 0..6 {
             for j in 0..6 {
                 let e = empirical.get(i, j);
@@ -328,44 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_bands_concatenate_to_full_corpus() {
-        let g = cycle(9);
-        let cfg = WalkConfig {
-            walks_per_node: 3,
-            walk_length: 8,
-            window: 2,
-        };
-        let total = g.num_nodes() * cfg.walks_per_node;
-        let full = corpus_pairs_seeded(&g, cfg, 0xBAD5EED, Some(1));
-        for band in [1, 5, total] {
-            for threads in [1, 4] {
-                let mut streamed = Vec::new();
-                let mut start = 0;
-                while start < total {
-                    let end = (start + band).min(total);
-                    streamed.extend(corpus_pairs_band(
-                        &g,
-                        cfg,
-                        0xBAD5EED,
-                        start..end,
-                        Some(threads),
-                    ));
-                    start = end;
-                }
-                assert_eq!(streamed, full, "band={band} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "walk band out of bounds")]
-    fn corpus_band_rejects_out_of_range() {
-        let g = cycle(3);
-        let cfg = WalkConfig::default();
-        corpus_pairs_band(&g, cfg, 1, 0..1000, Some(1));
-    }
-
-    #[test]
     fn seeded_corpus_differs_across_seeds() {
         let g = cycle(10);
         let cfg = WalkConfig::default();
@@ -410,7 +351,8 @@ mod tests {
             window: 2,
         };
         let empirical = empirical_proximity_seeded(&g, cfg, 4, Some(4));
-        let analytic = sp_proximity::walk::deepwalk_matrix(&g, 2);
+        let analytic =
+            sp_proximity::proximity_matrix(&g, sp_proximity::ProximityKind::DeepWalk { window: 2 });
         for i in 0..6 {
             for j in 0..6 {
                 let e = empirical.get(i, j);

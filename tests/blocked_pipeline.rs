@@ -1,30 +1,28 @@
-//! Determinism contract of the out-of-core (blocked/streamed) pipeline.
+//! Determinism contract of the banded proximity path.
 //!
-//! The blocked execution path — row-banded proximity, the two-pass
-//! streaming alias builder, walk-corpus bands, and the edge-sharded
-//! trainer — promises output **bit-identical** to the materialised
-//! path for *any* band/shard/chunk height and *any* thread count.
-//! This suite pins that promise over the cross-product
-//! `heights {1, 7, 64, n} × threads {1, 4}`, and separately shows the
-//! memory claim itself: the tracked blocked working set stays under a
-//! budget that the materialised matrix provably exceeds.
+//! Every matrix-backed proximity is built in row bands
+//! (`sp_proximity::band::RowBands`): `EdgeProximity::compute_threads`
+//! drains bands of `BAND_ROWS` rows, and `proximity_matrix_threads` is
+//! all rows as one band. This suite pins three promises:
+//!
+//! - bands of *any* height and *any* thread count reassemble into the
+//!   bit-identical matrix, over `heights {1, 7, 64, n} × threads {1, 4}`
+//!   for all six matrix kinds;
+//! - the edge weights and `min(P)` read off the bands equal lookups
+//!   into the whole matrix, whatever the height of the last band;
+//! - the memory claim itself: the largest band fits a cap that the
+//!   whole matrix exceeds.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_datasets::generators;
 use sp_graph::Graph;
-use sp_linalg::{CsrMatrix, CsrRowBlock};
-use sp_mem::MemTracker;
-use sp_proximity::band::WedgeBander;
+use sp_linalg::CsrMatrix;
+use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{proximity_matrix_threads, EdgeProximity, ProximityKind};
-use sp_skipgram::walks::{corpus_pairs_band, corpus_pairs_seeded, WalkConfig};
-use sp_skipgram::{
-    AliasTable, AliasTableBuilder, NegativeSampling, PerturbStrategy, TrainConfig, Trainer,
-};
 
-/// Band/shard/chunk heights exercised everywhere: degenerate (1), odd
-/// (7), round (64), and "everything in one band" (n, substituted per
-/// test).
+/// Band heights exercised: degenerate (1), odd (7), round (64), and
+/// "everything in one band" (n, substituted per test).
 const HEIGHTS: [usize; 3] = [1, 7, 64];
 const THREADS: [usize; 2] = [1, 4];
 
@@ -34,22 +32,23 @@ const WEDGE_KINDS: [ProximityKind; 3] = [
     ProximityKind::ResourceAllocation,
 ];
 
-/// Small fixed scale-free graph: enough hub structure that wedge rows
-/// have very uneven nnz, which is what makes band boundaries
-/// interesting.
-fn scale_free_graph() -> Graph {
-    let mut rng = StdRng::seed_from_u64(7);
-    generators::barabasi_albert(40, 3, &mut rng)
-}
+const WALK_KINDS: [ProximityKind; 3] = [
+    ProximityKind::Katz {
+        beta: 0.5,
+        max_len: 3,
+    },
+    ProximityKind::Ppr {
+        alpha: 0.15,
+        iters: 4,
+    },
+    ProximityKind::DeepWalk { window: 2 },
+];
 
-/// Ring + chords for the trainer runs (same family as the golden
-/// trainer fixture, sized so batches cross shard boundaries).
-fn ring_with_chords(n: usize) -> Graph {
-    let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
-    for i in (0..n).step_by(5) {
-        edges.push((i as u32, ((i + n / 2) % n) as u32));
-    }
-    Graph::from_edges(n, edges)
+/// Small fixed scale-free graph: enough hub structure that rows have
+/// very uneven nnz, which is what makes band boundaries interesting.
+fn scale_free_graph(n: usize) -> Graph {
+    let mut rng = StdRng::seed_from_u64(7);
+    generators::barabasi_albert(n, 3, &mut rng)
 }
 
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
@@ -58,7 +57,7 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 
 /// Structural + bitwise equality of two CSR matrices (CsrMatrix's
 /// `PartialEq` uses float value equality, which would call `-0.0` and
-/// `0.0` equal; the blocked contract is stronger).
+/// `0.0` equal; the banded contract is stronger).
 fn matrices_bit_identical(a: &CsrMatrix, b: &CsrMatrix) -> bool {
     a.nnz() == b.nnz()
         && a.iter().zip(b.iter()).all(|((i1, j1, v1), (i2, j2, v2))| {
@@ -67,26 +66,19 @@ fn matrices_bit_identical(a: &CsrMatrix, b: &CsrMatrix) -> bool {
 }
 
 fn assemble_banded(g: &Graph, kind: ProximityKind, band_rows: usize, threads: usize) -> CsrMatrix {
-    let bander = WedgeBander::new(g, kind).expect("wedge kind");
-    let n = bander.rows();
-    let mut blocks: Vec<CsrRowBlock> = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let end = (start + band_rows).min(n);
-        blocks.push(bander.band(start..end, Some(threads)));
-        start = end;
-    }
+    let bands = RowBands::new(g, kind).expect("matrix-backed kind");
+    let n = bands.rows();
+    let blocks = (0..n)
+        .step_by(band_rows)
+        .map(|start| bands.band(start..(start + band_rows).min(n), Some(threads)))
+        .collect();
     CsrMatrix::from_row_blocks(n, n, blocks)
 }
 
-// ---------------------------------------------------------------------------
-// Row-banded proximity matrices
-
-#[test]
-fn banded_wedge_matrices_match_materialized_for_all_heights_and_threads() {
-    let g = scale_free_graph();
+fn assert_bands_match_materialized(kinds: &[ProximityKind]) {
+    let g = scale_free_graph(40);
     let n = g.num_nodes();
-    for kind in WEDGE_KINDS {
+    for &kind in kinds {
         let full = proximity_matrix_threads(&g, kind, Some(1));
         for band_rows in HEIGHTS.into_iter().chain([n]) {
             for threads in THREADS {
@@ -100,145 +92,48 @@ fn banded_wedge_matrices_match_materialized_for_all_heights_and_threads() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Row-banded proximity matrices
+
+#[test]
+fn banded_wedge_matrices_match_materialized_for_all_heights_and_threads() {
+    assert_bands_match_materialized(&WEDGE_KINDS);
+}
+
+#[test]
+fn banded_walk_matrices_match_materialized_for_all_heights_and_threads() {
+    assert_bands_match_materialized(&WALK_KINDS);
+}
+
+// ---------------------------------------------------------------------------
+// Edge weights read off the bands
+
 #[test]
 fn blocked_edge_proximity_matches_materialized_for_all_heights_and_threads() {
-    let g = scale_free_graph();
-    let n = g.num_nodes();
-    for kind in WEDGE_KINDS {
-        let full = EdgeProximity::compute_threads(&g, kind, Some(1));
-        for band_rows in HEIGHTS.into_iter().chain([n]) {
+    // Last-band heights: one row short of a band, exactly one band, one
+    // row over, and two bands plus a remainder.
+    for n in [BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 37] {
+        let g = scale_free_graph(n);
+        for kind in WEDGE_KINDS.into_iter().chain(WALK_KINDS) {
+            let m = proximity_matrix_threads(&g, kind, Some(1));
+            let lookups = g
+                .edges()
+                .iter()
+                .map(|&(u, v)| m.get(u as usize, v as usize))
+                .collect();
+            let full = EdgeProximity::from_raw(lookups, m.min_positive().unwrap_or(1.0), kind);
             for threads in THREADS {
-                let blocked =
-                    EdgeProximity::compute_blocked(&g, kind, band_rows, Some(threads), None);
+                let banded = EdgeProximity::compute_threads(&g, kind, Some(threads));
                 assert!(
-                    bits_equal(&full.weights, &blocked.weights),
-                    "{kind:?}: blocked weights (band {band_rows}, {threads} threads) diverged"
+                    bits_equal(&full.weights, &banded.weights),
+                    "{kind:?}: weights on {n} nodes with {threads} threads diverged"
                 );
                 assert_eq!(
                     full.min_positive.to_bits(),
-                    blocked.min_positive.to_bits(),
-                    "{kind:?}: blocked min_positive (band {band_rows}) diverged"
+                    banded.min_positive.to_bits(),
+                    "{kind:?}: min_positive on {n} nodes with {threads} threads diverged"
                 );
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming alias builder
-
-#[test]
-fn streamed_alias_tables_match_materialized_for_all_chunk_heights() {
-    let g = scale_free_graph();
-    let prox = EdgeProximity::compute(&g, ProximityKind::CommonNeighbors);
-    let reference = AliasTable::new(&prox.weights);
-    for chunk in HEIGHTS.into_iter().chain([prox.weights.len()]) {
-        let mut builder = AliasTableBuilder::new();
-        for c in prox.weights.chunks(chunk) {
-            builder.push_mass(c);
-        }
-        for c in prox.weights.chunks(chunk) {
-            builder.push_fill(c);
-        }
-        let streamed = builder.finish();
-        let (ref_prob, ref_alias) = reference.buckets();
-        let (st_prob, st_alias) = streamed.buckets();
-        assert!(
-            bits_equal(ref_prob, st_prob),
-            "alias probabilities diverged at chunk height {chunk}"
-        );
-        assert_eq!(
-            ref_alias, st_alias,
-            "alias outcomes diverged at chunk height {chunk}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Walk-corpus bands
-
-#[test]
-fn corpus_bands_concatenate_to_the_seeded_corpus() {
-    let g = scale_free_graph();
-    let cfg = WalkConfig {
-        walks_per_node: 3,
-        walk_length: 10,
-        window: 2,
-    };
-    let seed = 0xC0FFEE;
-    let total = g.num_nodes() * cfg.walks_per_node;
-    let reference = corpus_pairs_seeded(&g, cfg, seed, Some(1));
-    for band in HEIGHTS.into_iter().chain([total]) {
-        for threads in THREADS {
-            let mut streamed = Vec::new();
-            let mut start = 0;
-            while start < total {
-                let end = (start + band).min(total);
-                streamed.extend(corpus_pairs_band(&g, cfg, seed, start..end, Some(threads)));
-                start = end;
-            }
-            assert_eq!(
-                reference, streamed,
-                "corpus bands of {band} walks with {threads} threads diverged"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Edge-sharded trainer
-
-fn shard_train_config(shard: Option<usize>, threads: usize) -> TrainConfig {
-    TrainConfig {
-        dim: 16,
-        negatives: 3,
-        batch_size: 16,
-        learning_rate: 0.1,
-        clip: 1.0,
-        sigma: 5.0,
-        epsilon: 3.5,
-        delta: 1e-5,
-        epochs: 2,
-        strategy: PerturbStrategy::NonZero,
-        negative_sampling: NegativeSampling::UniformNonNeighbor,
-        seed: 0xD5EED,
-        threads: Some(threads),
-        subgraph_shard_edges: shard,
-        checkpoint_every: None,
-        checkpoint_dir: None,
-    }
-}
-
-#[test]
-fn sharded_trainer_matches_materialized_for_all_shard_heights_and_threads() {
-    let g = ring_with_chords(60);
-    let prox = EdgeProximity::compute(&g, ProximityKind::CommonNeighbors);
-    let (ref_model, ref_report) = Trainer::new(shard_train_config(None, 1)).train(&g, &prox);
-    for shard in HEIGHTS.into_iter().chain([g.num_edges()]) {
-        for threads in THREADS {
-            let (model, report) =
-                Trainer::new(shard_train_config(Some(shard), threads)).train(&g, &prox);
-            assert!(
-                bits_equal(ref_model.w_in.as_slice(), model.w_in.as_slice()),
-                "sharded w_in (shard {shard}, {threads} threads) diverged"
-            );
-            assert!(
-                bits_equal(ref_model.w_out.as_slice(), model.w_out.as_slice()),
-                "sharded w_out (shard {shard}, {threads} threads) diverged"
-            );
-            // The privacy accounting must be byte-identical too: same
-            // step count, same spent budget, bit for bit.
-            assert_eq!(ref_report.steps_run, report.steps_run);
-            assert_eq!(ref_report.epochs_run, report.epochs_run);
-            assert_eq!(
-                ref_report.epsilon_spent.to_bits(),
-                report.epsilon_spent.to_bits(),
-                "accountant state (shard {shard}, {threads} threads) diverged"
-            );
-            assert_eq!(
-                ref_report.delta_spent.to_bits(),
-                report.delta_spent.to_bits()
-            );
         }
     }
 }
@@ -249,8 +144,8 @@ fn sharded_trainer_matches_materialized_for_all_shard_heights_and_threads() {
 #[test]
 fn blocked_proximity_fits_a_budget_the_materialized_matrix_exceeds() {
     // Ring + 2 chords per node: degree 6, so the CN matrix holds
-    // roughly n·d² ≈ 200k entries — ~2.5 MiB materialised, while a
-    // 64-row band is a few tens of KiB.
+    // roughly n·d² ≈ 200k entries and the DW matrix ≈ n·(1+d+d²) — a
+    // few MiB materialised, while one band is a few tens of KiB.
     let n = 6000usize;
     let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
     for i in 0..n {
@@ -261,31 +156,31 @@ fn blocked_proximity_fits_a_budget_the_materialized_matrix_exceeds() {
 
     const CAP_BYTES: u64 = 1 << 20; // 1 MiB working-set budget
 
-    let materialized = proximity_matrix_threads(&g, ProximityKind::CommonNeighbors, Some(1));
-    assert!(
-        materialized.heap_bytes() > CAP_BYTES,
-        "materialised CN matrix ({} bytes) no longer exceeds the {CAP_BYTES} byte cap — \
-         grow the fixture",
-        materialized.heap_bytes()
-    );
-
-    let tracker = MemTracker::new();
-    let blocked = EdgeProximity::compute_blocked(
-        &g,
+    for kind in [
         ProximityKind::CommonNeighbors,
-        64,
-        Some(1),
-        Some(&tracker),
-    );
-    assert!(
-        tracker.peak() <= CAP_BYTES,
-        "blocked band working set peaked at {} bytes, over the {CAP_BYTES} byte cap",
-        tracker.peak()
-    );
-    assert_eq!(tracker.current(), 0, "every band should have been released");
-
-    // Cheaper AND bit-identical.
-    let full = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, Some(1));
-    assert!(bits_equal(&full.weights, &blocked.weights));
-    assert_eq!(full.min_positive.to_bits(), blocked.min_positive.to_bits());
+        ProximityKind::deepwalk_default(),
+    ] {
+        let materialized = proximity_matrix_threads(&g, kind, Some(1));
+        assert!(
+            materialized.heap_bytes() > CAP_BYTES,
+            "materialised {kind:?} matrix ({} bytes) no longer exceeds the {CAP_BYTES} byte \
+             cap — grow the fixture",
+            materialized.heap_bytes()
+        );
+        let bands = RowBands::new(&g, kind).expect("matrix-backed kind");
+        let largest = (0..n)
+            .step_by(BAND_ROWS)
+            .map(|start| {
+                bands
+                    .band(start..(start + BAND_ROWS).min(n), Some(1))
+                    .heap_bytes()
+            })
+            .max()
+            .expect("at least one band");
+        assert!(
+            largest <= CAP_BYTES,
+            "{kind:?}: the largest band of {BAND_ROWS} rows holds {largest} bytes, over the \
+             {CAP_BYTES} byte cap"
+        );
+    }
 }
