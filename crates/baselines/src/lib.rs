@@ -25,8 +25,8 @@
 //! These are faithful *small-scale* reimplementations, not ports of
 //! the official TensorFlow/PyTorch code: the mechanism type, noise
 //! calibration (same RDP accountant as SE-PrivGEmb), model family,
-//! and embedding dimension match; absolute utilities differ (see the
-//! substitution notes in DESIGN.md). Graphs carry no node features in
+//! and embedding dimension match; absolute utilities differ (each
+//! module's docs state what it substitutes). Graphs carry no node features in
 //! the paper's setting, so — "similar to prior research \[32\]" — GAP
 //! and ProGAP receive randomly generated features.
 

@@ -2,7 +2,10 @@
 //!
 //! Measures the shipping lane-shaped kernels in `sp_linalg::vector`
 //! (and the serving f32 score path that delegates to them) against
-//! plain scalar reference loops, writes the per-kernel medians as
+//! plain scalar reference loops, plus the trainer's keyed Gaussian
+//! noise row (`noise_row`: one r = 128 row through
+//! `sp_dp::NoiseKeys::fill_row`, gated with no scalar reference),
+//! writes the per-kernel medians as
 //! `kernels.tsv` via the shared harness (`SP_RESULTS_DIR` respected)
 //! plus a `BENCH_kernels.json` summary, and — with `--baseline
 //! <tsv>` — exits non-zero when any `lanes` median regressed more
@@ -32,6 +35,7 @@
 
 use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
 use sp_bench::kernels::{compare, median_ns, parse_tsv, GateOutcome, KernelRow, TSV_HEADER};
+use sp_dp::NoiseKeys;
 use sp_linalg::vector;
 use std::hint::black_box;
 use std::io::Write as _;
@@ -254,6 +258,22 @@ fn run_all(slow: bool) -> Vec<KernelRow> {
         }),
     });
 
+    // noise_row: the trainer's per-row Gaussian noise, keyed by
+    // (seed, step, matrix, row) — a fresh row every call, as in a step.
+    let keys = NoiseKeys::new(0x5EED);
+    let mut noise = vec![0.0f64; DIM_F64];
+    let mut row = 0u64;
+    cands.push(Candidate {
+        kernel: "noise_row",
+        variant: "lanes",
+        dim: DIM_F64,
+        body: batched(move || {
+            row += 1;
+            keys.fill_row(1, 1, black_box(row), &mut noise, 10.0);
+            black_box(noise[0]);
+        }),
+    });
+
     measure(&mut cands, slow)
 }
 
@@ -357,11 +377,8 @@ fn dist2_sq_f32_scalar(x: &[f32], y: &[f32]) -> f32 {
 
 /// splitmix64-fed uniform in [-1, 1): deterministic operand fill.
 fn unit_f64(state: &mut u64) -> f64 {
+    let z = sp_parallel::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
 }
 

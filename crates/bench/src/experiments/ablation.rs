@@ -1,5 +1,5 @@
-//! Ablations beyond the paper's tables — the design-choice studies
-//! DESIGN.md calls out:
+//! Ablations beyond the paper's tables — studies of the design choices
+//! behind the trainer and the evaluation:
 //!
 //! 1. **Theorem 3 verification**: the closed-form optimum
 //!    `x* = log(p_ij/(k·min P))` against a direct gradient-descent

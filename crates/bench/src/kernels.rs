@@ -13,7 +13,7 @@
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelRow {
     /// Kernel name (`dot_f64`, `axpy_f64`, `clip_norm_f64`,
-    /// `dot_f32`, `dist2_sq_f32`).
+    /// `dot_f32`, `dist2_sq_f32`, `noise_row`).
     pub kernel: String,
     /// `scalar` (reference loop) or `lanes` (shipping kernel).
     pub variant: String,

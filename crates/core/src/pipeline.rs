@@ -135,11 +135,12 @@ impl SePrivGEmbBuilder {
         self
     }
 
-    /// Worker threads for the proximity build and the per-example
-    /// gradient pass (default: the `SP_THREADS` environment variable,
-    /// then the available parallelism). The fitted model is
-    /// byte-identical for every thread count — parallelism never
-    /// perturbs a seeded run or its privacy accounting.
+    /// Worker threads for the proximity build and the training step
+    /// pipeline (default: the `SP_THREADS` environment variable, then
+    /// the available parallelism; see `TrainConfig::threads`). The
+    /// fitted model is byte-identical for every thread count —
+    /// parallelism never perturbs a seeded run or its privacy
+    /// accounting.
     pub fn threads(mut self, t: usize) -> Self {
         self.train.threads = Some(t);
         self
@@ -314,17 +315,22 @@ mod tests {
     fn nonzero_beats_naive_on_structure() {
         // Table VI's headline: the non-zero perturbation strategy
         // preserves far more structure than the naive B·C-sensitivity
-        // strategy at the same budget.
-        let g = two_cliques_bridge(10);
+        // strategy at the same budget. The cliques must be large
+        // enough for the budget to admit real training: on two
+        // 10-cliques (γ = 16/91) it binds after 19 steps, where
+        // neither strategy has moved off its random init and the
+        // comparison is a coin flip. On two 25-cliques (γ = 16/601)
+        // all 1,520 steps run and non-zero wins on every seed tried.
+        let g = two_cliques_bridge(25);
         let nz = quick_builder()
             .strategy(PerturbStrategy::NonZero)
-            .epochs(60)
+            .epochs(40)
             .seed(11)
             .build()
             .fit(&g);
         let naive = quick_builder()
             .strategy(PerturbStrategy::Naive)
-            .epochs(60)
+            .epochs(40)
             .seed(11)
             .build()
             .fit(&g);

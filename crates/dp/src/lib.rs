@@ -4,8 +4,9 @@
 //!
 //! Implements the full privacy stack of the paper's §II-B/§II-C/§V:
 //!
-//! - [`noise`]: a seeded standard-normal sampler (Marsaglia polar) and
-//!   the Gaussian mechanism that perturbs slices/rows;
+//! - [`noise`]: a 256-layer ziggurat standard-normal sampler, the
+//!   Gaussian mechanism that perturbs slices/rows, and counter-keyed
+//!   noise rows ([`NoiseKeys`]);
 //! - [`clip`]: ℓ2 clipping of per-example gradients that are spread
 //!   over several non-contiguous rows (the skip-gram case, where one
 //!   example touches `1` row of `W_in` and `k+1` rows of `W_out`);
@@ -33,5 +34,5 @@ pub use accountant::{
     calibrate_noise_multiplier, BudgetedAccountant, PrivacyBudget, RdpAccountant,
     DEFAULT_ORDERS_MAX,
 };
-pub use noise::GaussianSampler;
+pub use noise::{GaussianSampler, NoiseKeys};
 pub use rdp::{gaussian_rdp, subsampled_gaussian_rdp};

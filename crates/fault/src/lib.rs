@@ -48,6 +48,7 @@
 
 pub mod retry;
 
+use sp_parallel::splitmix64;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -291,14 +292,6 @@ impl FaultPlan {
         }
         None
     }
-}
-
-/// SplitMix64 — the workspace's standard seed-expansion hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn site_hash(site: &str) -> u64 {

@@ -7,6 +7,7 @@
 //! is a pure function of `(seed, attempt)` — two policies with the same
 //! seed sleep the same amounts in the same order.
 
+use sp_parallel::splitmix64;
 use std::time::Duration;
 
 /// Which `io::ErrorKind`s a retry policy should absorb.
@@ -91,13 +92,6 @@ impl RetryPolicy {
             }
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

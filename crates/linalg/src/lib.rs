@@ -8,7 +8,7 @@
 //! proximity matrices are `|V| x |V|` but sparse. Everything here is
 //! `f64`: the differential-privacy accounting and the Gaussian noise
 //! path benefit from the extra precision, and at these sizes the memory
-//! cost is irrelevant (see DESIGN.md).
+//! cost is irrelevant.
 //!
 //! Modules:
 //! - [`vector`]: flat `&[f64]` kernels (dot, axpy, norms) used in the

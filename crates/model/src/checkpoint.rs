@@ -2,9 +2,10 @@
 //! plus the orchestration that drives a checkpointed run.
 //!
 //! A checkpoint serialises a [`TrainerState`] — the trainer's full loop
-//! state at a step boundary (counters, RNG, noise spare, loss
-//! accumulator, both matrices at **full `f64` precision**, and the raw
-//! RDP curve). Unlike the published `.spm` artefact, which rounds to
+//! state at a step boundary (counters, RNG, loss accumulator, both
+//! matrices at **full `f64` precision**, and the raw RDP curve). The
+//! noise-spare word is a leftover of the polar sampler: the trainer's
+//! keyed noise never sets it, but the layout keeps the slot. Unlike the published `.spm` artefact, which rounds to
 //! f32 once at publication, a checkpoint must restore the exact bits
 //! the loop would have carried forward, so everything here is stored as
 //! raw `f64`/`u64` bit patterns.

@@ -1,9 +1,10 @@
 //! # sp-parallel
 //!
-//! Deterministic chunked worker-pool primitives shared by the trainer
-//! (per-example gradient pass), the proximity builders (row-partitioned
-//! SpGEMM and wedge enumeration), the walk-corpus generator, and the
-//! bench harness's experiment sweeps.
+//! Deterministic chunked worker-pool primitives shared by the proximity
+//! builders (row-partitioned SpGEMM and wedge enumeration), the
+//! walk-corpus generator, the IVF index build, and the bench harness's
+//! experiment sweeps, plus the workspace's one [`splitmix64`] counter
+//! hash.
 //!
 //! ## Determinism contract
 //!
@@ -43,6 +44,19 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// One SplitMix64 step: the workspace's seed-expansion and counter
+/// hash. Every seeded stream that must not depend on scheduling
+/// (per-walk and per-edge RNGs, keyed noise rows, fault plans, IVF
+/// seeding, synthetic stores) derives its randomness from a counter
+/// through this bijection.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// Number of hardware threads available to this process (at least 1).
 pub fn available_threads() -> usize {

@@ -6,8 +6,8 @@
 //! centre node `w`, every pair of distinct neighbours `(i, j)` of `w`
 //! receives a contribution `f(w)`. The work is `Σ_w d_w (d_w - 1) / 2`,
 //! which is fine for the sparse/medium graphs these measures are meant
-//! for; for hub-heavy graphs prefer the degree or DeepWalk proximities
-//! (see the complexity discussion in DESIGN.md).
+//! for; for hub-heavy graphs prefer the degree or DeepWalk proximities,
+//! whose cost does not grow with the square of a hub's degree.
 //!
 //! The enumeration is **row-partitioned**: row `i` of the output is
 //! `p_i· = Σ_{w ∈ N(i)} weight(w) · 𝟙[j ∈ N(w), j ≠ i]`, accumulated

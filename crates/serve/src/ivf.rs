@@ -15,7 +15,7 @@
 //! selection break toward the lower centroid id via a total order.
 
 use crate::store::{EmbeddingStore, Neighbor, TopK};
-use sp_parallel::{par_map, resolve_threads};
+use sp_parallel::{par_map, resolve_threads, splitmix64};
 
 /// Index construction and default-query parameters.
 #[derive(Clone, Copy, Debug)]
@@ -51,14 +51,6 @@ pub struct IvfIndex {
     centroids: Vec<f32>,
     /// Node ids per list, ascending within each list.
     lists: Vec<Vec<u32>>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Squared L2 distance with a fixed canonical accumulation order —

@@ -9,14 +9,7 @@
 //! CI matrix reproduce identical stores everywhere.
 
 use sp_model::F32Matrix;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use sp_parallel::splitmix64;
 
 /// Uniform in `[-1, 1)` from the top 24 bits of a hash word.
 fn unit(x: u64) -> f32 {

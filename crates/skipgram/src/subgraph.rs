@@ -14,10 +14,10 @@
 //! Theorem 3's design against it.
 
 use crate::alias::AliasTable;
-use crate::walks::splitmix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sp_graph::{Graph, NodeId};
+use sp_parallel::splitmix64;
 use std::ops::Range;
 
 /// One element of `G_S`: an edge with its pre-drawn negatives.

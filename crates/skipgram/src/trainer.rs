@@ -10,23 +10,53 @@
 //! Gaussian mechanism with rate `γ = B/|E|` and stops training the
 //! moment the next step would exceed the `(ε, δ)` budget (lines 8–10).
 //!
-//! Randomness: the hot loop (noise + batch sampling) uses `SmallRng`
-//! seeded from the config — fast and reproducible. A cryptographic
-//! generator would be required for a production DP deployment; for
-//! reproducing the paper's utility the statistical quality of
-//! xoshiro256++ is more than sufficient (see DESIGN.md).
+//! # Randomness
+//!
+//! One run RNG (`SmallRng`, xoshiro256++ seeded from
+//! [`TrainConfig::seed`]) draws the Alg. 1 base seed, the initial
+//! model, and then each step's batch — nothing else. Noise is
+//! counter-based: row `row` of `W_in` (matrix 0) or `W_out` (matrix 1)
+//! at global step `s` draws from its own stream keyed by
+//! `(seed, s, matrix, row)` ([`sp_dp::NoiseKeys`]), so a noise row
+//! depends on neither the model nor any other draw. Neither generator
+//! is cryptographic: a production DP deployment would need a CSPRNG
+//! (and see the floating-point caveat in [`sp_dp::noise`]); for
+//! reproducing the paper's utility their statistical quality is more
+//! than sufficient.
+//!
+//! # Step pipeline
+//!
+//! Keyed noise lets each step split in two:
+//!
+//! - a model-independent **producer**: sample the batch from the run
+//!   RNG, regenerate its subgraphs from [`SubgraphGen`], collect the
+//!   touched rows of `W_in`/`W_out`, write their `NonZero` noise rows
+//!   into recycled slabs, and record the RNG state after the draw;
+//! - a model-dependent **consumer**: charge the accountant, compute and
+//!   clip each example's gradient, reduce them into the batch
+//!   accumulators in batch order, add the noise, update, and
+//!   checkpoint (with the consumed step's RNG state).
+//!
+//! With two or more threads the producer runs one step ahead on a
+//! scoped thread behind a rendezvous channel; with one thread the
+//! consumer calls it inline. Either way the consumer sees the same
+//! step bundles in the same order, so every output is bit-identical
+//! for any thread count. The `Naive` ablation perturbs all `|V|` rows,
+//! so the consumer draws its keyed rows inline rather than have the
+//! producer fill an `O(|V|·r)` slab per step.
 
 use crate::model::{GradBuffer, SkipGramModel};
 use crate::perturb::PerturbStrategy;
-use crate::subgraph::{NegativeSampling, SubgraphGen};
+use crate::subgraph::{NegativeSampling, Subgraph, SubgraphGen};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sp_dp::{BudgetedAccountant, GaussianSampler, PrivacyBudget};
+use sp_dp::{BudgetedAccountant, NoiseKeys, PrivacyBudget};
 use sp_graph::{Graph, NodeId};
 use sp_linalg::{vector, DenseMatrix};
 use sp_proximity::EdgeProximity;
 use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc;
 
 /// Hyper-parameters of Algorithm 2. Defaults are the paper's §VI-A
 /// settings (r=128, k=5, B=128, η=0.1, C=2, σ=5, δ=1e-5, ε=3.5,
@@ -56,23 +86,25 @@ pub struct TrainConfig {
     pub strategy: PerturbStrategy,
     /// Negative-sampling scheme for Algorithm 1.
     pub negative_sampling: NegativeSampling,
-    /// RNG seed (drives initialisation, sampling, and noise).
+    /// RNG seed (drives initialisation, sampling, and the noise keys).
     pub seed: u64,
-    /// Worker threads for the per-example gradient pass (`None`
-    /// resolves via [`sp_parallel::resolve_threads`]: the `SP_THREADS`
-    /// environment variable, then the available parallelism).
+    /// Threads for the step pipeline (`None` resolves via
+    /// [`sp_parallel::resolve_threads`]: the `SP_THREADS` environment
+    /// variable, then the available parallelism).
     ///
-    /// An explicit `Some(n > 1)` always routes the gradient pass
-    /// through the worker pool; an auto-resolved count engages it only
-    /// when the batch carries enough arithmetic to amortise the
-    /// per-step pool spawn (so toy configs stay on the serial path).
+    /// With `≥ 2` the model-independent half of each step (batch
+    /// sampling, subgraph regeneration, touched rows, keyed noise rows)
+    /// runs one step ahead on a second thread while the caller's
+    /// thread computes gradients and applies the update; with `1` both
+    /// halves run inline. The pipeline has two stages, so counts above
+    /// two behave like two (see the module docs).
     ///
-    /// **Determinism contract:** gradients are computed and clipped in
-    /// parallel but reduced into the batch accumulator serially, in
-    /// batch-sample order, and the batch sampler, noise generator, and
-    /// RDP accountant stay on the caller thread — so for a fixed seed
-    /// the trained model and the privacy spend are byte-identical for
-    /// every thread count (asserted by `tests/parallel_determinism.rs`).
+    /// **Determinism contract:** the run RNG is drawn only by the
+    /// producer, in step order; noise rows are keyed by
+    /// `(seed, step, matrix, row)`; and gradients are reduced in batch
+    /// order on the consumer — so for a fixed seed the trained model
+    /// and the privacy spend are byte-identical for every thread count
+    /// (asserted by `tests/parallel_determinism.rs`).
     pub threads: Option<usize>,
     /// Crash safety: emit a [`TrainerState`] snapshot to the checkpoint
     /// sink every this many completed steps (`None` disables). The
@@ -169,7 +201,11 @@ impl TrainConfig {
             NegativeSampling::DegreeProportional => 1,
         };
         let words = [
-            0x5350_4345_4B50_5431u64, // "SPCEKPT1": format discriminator
+            // "SPCEKPT2": format discriminator. Bumped from "SPCEKPT1"
+            // when noise became keyed ziggurat rows, so a snapshot of a
+            // polar-noise run is refused rather than resumed on a
+            // different noise stream.
+            0x5350_4345_4B50_5432u64,
             self.dim as u64,
             self.negatives as u64,
             self.batch_size as u64,
@@ -218,10 +254,10 @@ pub struct TrainReport {
 ///
 /// Everything the loop consumes after a step boundary is either (a)
 /// derived deterministically from the config and the graph (subgraph
-/// base seed, proximity weights, batch schedule *shape*) or (b)
-/// captured here: the counters, the run RNG, the Marsaglia sampler's
-/// cached spare, the loss accumulator, both embedding matrices at full
-/// `f64` precision, and the raw RDP curve. Restoring (b) and replaying
+/// base seed, proximity weights, batch schedule *shape*, the keyed
+/// noise rows) or (b) captured here: the counters, the run RNG, the
+/// loss accumulator, both embedding matrices at full `f64` precision,
+/// and the raw RDP curve. Restoring (b) and replaying
 /// from the boundary therefore reproduces the uninterrupted run
 /// bit-for-bit — including the privacy spend, which is restored (not
 /// recomputed), so ε can never be double-spent across crashes.
@@ -240,7 +276,9 @@ pub struct TrainerState {
     pub step_in_epoch: u64,
     /// xoshiro256++ state of the run RNG.
     pub rng: [u64; 4],
-    /// Cached spare deviate of the Gaussian sampler, if present.
+    /// Always `None`: noise rows are keyed by `(seed, step, matrix,
+    /// row)` and carry no sampler state. The field stays only for the
+    /// `.spc` layout and existing struct literals; resume ignores it.
     pub noise_spare: Option<f64>,
     /// Final-epoch loss accumulator: sum of per-example losses.
     pub loss_sum: f64,
@@ -265,16 +303,10 @@ pub struct TrainerState {
 /// durability guarantee).
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&TrainerState) -> io::Result<()>;
 
-/// Minimum per-batch work (examples × contexts × dim) before an
-/// *auto-resolved* thread count fans the gradient pass out over the
-/// worker pool. `sp_parallel` spawns a fresh scoped pool every step
-/// (~100 µs for 4 workers), so the batch must carry on the order of
-/// that much gradient math before parallelism pays; the paper's §VI-A
-/// configuration (B=128, k=5, r=128 ⇒ 98 304) crosses the bar, toy and
-/// test configs do not. An explicit `TrainConfig::threads = Some(n>1)`
-/// bypasses the heuristic — the caller asked for the pool. The cutover
-/// never changes results — only which path computes them.
-const PAR_GRAD_MIN_WORK: usize = 65_536;
+/// Noise-key matrix index of `W_in`.
+const W_IN: u64 = 0;
+/// Noise-key matrix index of `W_out`.
+const W_OUT: u64 = 1;
 
 /// Runs Algorithm 2 on a graph + proximity weighting.
 #[derive(Clone, Debug)]
@@ -368,7 +400,7 @@ impl Trainer {
         prox: &EdgeProximity,
         initial: Option<SkipGramModel>,
         resume: Option<&TrainerState>,
-        mut sink: Option<CheckpointSink<'_>>,
+        sink: Option<CheckpointSink<'_>>,
     ) -> io::Result<(SkipGramModel, TrainReport)> {
         let cfg = &self.config;
         assert!(g.num_edges() > 0, "cannot train on an edgeless graph");
@@ -387,65 +419,60 @@ impl Trainer {
         let subgraphs = SubgraphGen::new(g, cfg.negatives, cfg.negative_sampling, base_seed);
         // Line 3: initialise Θ (or warm-start from a published model;
         // the fresh init is still drawn to keep the RNG stream — and
-        // therefore batch/noise sequences — identical in both paths).
+        // therefore the batch sequence — identical in both paths).
         let fresh = SkipGramModel::new(g.num_nodes(), cfg.dim, &mut rng);
-        let mut model = initial.unwrap_or(fresh);
 
         let num_edges = g.num_edges();
         let batch = cfg.batch_size.min(num_edges);
         let steps_per_epoch = num_edges.div_ceil(batch);
         let gamma = (batch as f64 / num_edges as f64).min(1.0);
+        let keys = NoiseKeys::new(cfg.seed);
+        let noise_std = cfg.strategy.sensitivity(batch, cfg.clip) * cfg.sigma;
 
-        let mut accountant = if cfg.strategy.is_private() {
-            Some(BudgetedAccountant::new(
-                PrivacyBudget::new(cfg.epsilon, cfg.delta),
-                gamma,
-                cfg.sigma,
-            ))
-        } else {
-            None
+        let mut consumer = Consumer {
+            cfg,
+            prox,
+            keys,
+            noise_std,
+            scale: -cfg.learning_rate / batch as f64,
+            steps_per_epoch: steps_per_epoch as u64,
+            fingerprint: cfg.fingerprint(g.num_nodes(), g.num_edges()),
+            model: initial.unwrap_or(fresh),
+            acc_in: DenseMatrix::zeros(g.num_nodes(), cfg.dim),
+            acc_out: DenseMatrix::zeros(g.num_nodes(), cfg.dim),
+            buf: GradBuffer::new(),
+            accountant: cfg.strategy.is_private().then(|| {
+                BudgetedAccountant::new(
+                    PrivacyBudget::new(cfg.epsilon, cfg.delta),
+                    gamma,
+                    cfg.sigma,
+                )
+            }),
+            sink,
+            steps_run: 0,
+            stopped_by_budget: false,
+            loss: (0.0, 0),
         };
-
-        let mut state = BatchState::new(g.num_nodes(), cfg.dim);
-        let mut noise = GaussianSampler::new();
-        let mut buf = GradBuffer::new();
-
-        // The per-example pass fans out over the worker pool when the
-        // caller asked for threads explicitly, or when an auto-resolved
-        // count meets the per-batch work bar; both paths clip and
-        // accumulate in batch-sample order, so the result is
-        // byte-identical either way (see `TrainConfig::threads`).
-        let threads = sp_parallel::resolve_threads(cfg.threads);
-        let par_grads = threads > 1
-            && (cfg.threads.is_some()
-                || batch * (cfg.negatives + 1) * cfg.dim >= PAR_GRAD_MIN_WORK);
-
-        let mut steps_run: u64 = 0;
-        let mut epochs_run = 0usize;
-        let mut stopped_by_budget = false;
-        let mut loss_stats = (0.0f64, 0u64);
 
         // Resume: the prefix above replayed the same seeded draws as
         // the original run (subgraph source, fresh init), so the
         // derived subgraph streams are identical; now overwrite every
-        // piece of live loop state with the snapshot.
-        let fingerprint = cfg.fingerprint(g.num_nodes(), g.num_edges());
-        let mut resume_step = 0usize;
+        // piece of live loop state with the snapshot. Every epoch runs
+        // `steps_per_epoch` steps, so `steps_run` alone is the cursor.
         if let Some(st) = resume {
-            if st.fingerprint != fingerprint {
+            if st.fingerprint != consumer.fingerprint {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "checkpoint fingerprint does not match this config and graph \
                      (refusing to resume: the trajectory would diverge)",
                 ));
             }
-            model = SkipGramModel {
+            consumer.model = SkipGramModel {
                 w_in: st.w_in.clone(),
                 w_out: st.w_out.clone(),
             };
             rng = SmallRng::from_state(st.rng);
-            noise = GaussianSampler::from_spare(st.noise_spare);
-            if let Some(acc) = accountant.as_mut() {
+            if let Some(acc) = consumer.accountant.as_mut() {
                 *acc = BudgetedAccountant::resume(
                     PrivacyBudget::new(cfg.epsilon, cfg.delta),
                     gamma,
@@ -456,228 +483,321 @@ impl Trainer {
                 )
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             }
-            steps_run = st.steps_run;
-            epochs_run = st.epochs_run as usize;
-            loss_stats = (st.loss_sum, st.loss_count);
-            resume_step = st.step_in_epoch as usize;
-        }
-        let start_epoch = epochs_run;
-
-        'training: for epoch in start_epoch..cfg.epochs {
-            let final_epoch = epoch + 1 == cfg.epochs;
-            // First (possibly resumed) epoch starts at the snapshot's
-            // step cursor; all later epochs start at 0.
-            let first_step = std::mem::take(&mut resume_step);
-            for step in first_step..steps_per_epoch {
-                // Lines 8–10: stop when the budget would be exceeded.
-                if let Some(acc) = accountant.as_mut() {
-                    if !acc.try_step() {
-                        stopped_by_budget = true;
-                        break 'training;
-                    }
-                }
-                // Line 5: B subgraphs uniformly without replacement
-                // (the sampler stays serial: one RNG stream per run).
-                let idx = rand::seq::index::sample(&mut rng, num_edges, batch);
-                if par_grads {
-                    let picked: Vec<usize> = idx.iter().collect();
-                    // Compute + clip per-example gradients in parallel,
-                    // then reduce serially in batch-sample order.
-                    let grads = sp_parallel::par_map(&picked, threads, |&i| {
-                        let sg = subgraphs.generate(i);
-                        let p = prox.weights[sg.edge_index];
-                        let loss = if final_epoch { model.loss(&sg, p) } else { 0.0 };
-                        let mut ebuf = GradBuffer::new();
-                        model.example_grad(&sg, p, &mut ebuf);
-                        ebuf.clip(cfg.clip);
-                        (ebuf, loss)
-                    });
-                    for (ebuf, loss) in &grads {
-                        if final_epoch {
-                            loss_stats.0 += loss;
-                            loss_stats.1 += 1;
-                        }
-                        state.accumulate(ebuf);
-                    }
-                } else {
-                    for i in idx.iter() {
-                        let sg = subgraphs.generate(i);
-                        let p = prox.weights[sg.edge_index];
-                        if final_epoch {
-                            loss_stats.0 += model.loss(&sg, p);
-                            loss_stats.1 += 1;
-                        }
-                        model.example_grad(&sg, p, &mut buf);
-                        buf.clip(cfg.clip);
-                        state.accumulate(&buf);
-                    }
-                }
-                // Lines 6–7: perturb and apply (serial — the noise
-                // stream is part of the seeded RNG sequence).
-                self.apply_update(&mut model, &mut state, batch, &mut noise, &mut rng);
-                steps_run += 1;
-                // Checkpoint at the step boundary: the batch
-                // accumulators are zeroed here, so the loop state is
-                // exactly (counters, RNG, noise spare, loss, model,
-                // accountant) — everything TrainerState captures.
-                if let (Some(every), Some(sink)) = (cfg.checkpoint_every, sink.as_mut()) {
-                    if steps_run % every == 0 {
-                        let snapshot = TrainerState {
-                            fingerprint,
-                            steps_run,
-                            epochs_run: epochs_run as u64,
-                            step_in_epoch: (step + 1) as u64,
-                            rng: rng.state(),
-                            noise_spare: noise.spare(),
-                            loss_sum: loss_stats.0,
-                            loss_count: loss_stats.1,
-                            w_in: model.w_in.clone(),
-                            w_out: model.w_out.clone(),
-                            accountant_orders_max: accountant
-                                .as_ref()
-                                .map(|a| a.max_order())
-                                .unwrap_or(0),
-                            accountant_rdp: accountant
-                                .as_ref()
-                                .map(|a| a.rdp_raw().to_vec())
-                                .unwrap_or_default(),
-                            accountant_steps: accountant.as_ref().map(|a| a.steps()).unwrap_or(0),
-                        };
-                        sink(&snapshot)?;
-                    }
-                }
-            }
-            epochs_run += 1;
+            consumer.steps_run = st.steps_run;
+            consumer.loss = (st.loss_sum, st.loss_count);
         }
 
-        let (epsilon_spent, delta_spent) =
-            accountant.as_ref().map(|a| a.spent()).unwrap_or((0.0, 0.0));
-        let final_loss = if loss_stats.1 > 0 {
-            loss_stats.0 / loss_stats.1 as f64
+        let mut producer = Producer {
+            subgraphs,
+            rng,
+            keys,
+            // Only `NonZero` noise goes through the producer's slabs.
+            slab_std: (cfg.strategy == PerturbStrategy::NonZero).then_some(noise_std),
+            dim: cfg.dim,
+            num_edges,
+            batch,
+            step: consumer.steps_run,
+            end: (cfg.epochs * steps_per_epoch) as u64,
+            in_flags: vec![false; g.num_nodes()],
+            out_flags: vec![false; g.num_nodes()],
+        };
+
+        if sp_parallel::resolve_threads(cfg.threads) > 1 {
+            std::thread::scope(|scope| -> io::Result<()> {
+                // Rendezvous: the producer hands over step s + 1 only
+                // when the consumer asks for it after step s, so it
+                // runs exactly one step ahead. Spent bundles flow back
+                // for reuse; a stop (budget, sink error, panic) drops
+                // the receiver, which fails the producer's next send
+                // and ends its thread.
+                let (ahead_tx, ahead_rx) = mpsc::sync_channel::<StepBundle>(0);
+                let (spent_tx, spent_rx) = mpsc::channel::<StepBundle>();
+                scope.spawn(move || loop {
+                    let mut bundle = spent_rx.try_recv().unwrap_or_default();
+                    if !producer.produce(&mut bundle) || ahead_tx.send(bundle).is_err() {
+                        return;
+                    }
+                });
+                for bundle in ahead_rx {
+                    if !consumer.consume(&bundle)? {
+                        break;
+                    }
+                    // The producer may already be done; then the
+                    // bundle is simply dropped.
+                    let _ = spent_tx.send(bundle);
+                }
+                Ok(())
+            })?;
+        } else {
+            let mut bundle = StepBundle::default();
+            while producer.produce(&mut bundle) && consumer.consume(&bundle)? {}
+        }
+
+        let (epsilon_spent, delta_spent) = consumer
+            .accountant
+            .as_ref()
+            .map(|a| a.spent())
+            .unwrap_or((0.0, 0.0));
+        let final_loss = if consumer.loss.1 > 0 {
+            consumer.loss.0 / consumer.loss.1 as f64
         } else {
             f64::NAN
         };
         Ok((
-            model,
+            consumer.model,
             TrainReport {
-                epochs_run,
-                steps_run,
-                stopped_by_budget,
+                epochs_run: (consumer.steps_run / consumer.steps_per_epoch) as usize,
+                steps_run: consumer.steps_run,
+                stopped_by_budget: consumer.stopped_by_budget,
                 epsilon_spent,
                 delta_spent,
                 final_loss,
             },
         ))
     }
+}
 
-    /// Noise + SGD application for one batch, per the strategy.
-    fn apply_update(
-        &self,
-        model: &mut SkipGramModel,
-        state: &mut BatchState,
-        batch: usize,
-        noise: &mut GaussianSampler,
-        rng: &mut SmallRng,
-    ) {
-        let cfg = &self.config;
-        let scale = -cfg.learning_rate / batch as f64;
-        let noise_std = cfg.strategy.sensitivity(batch, cfg.clip) * cfg.sigma;
+/// Everything one step needs that does not depend on the model: the
+/// producer's output, recycled across steps.
+#[derive(Default)]
+struct StepBundle {
+    /// Global step index: the noise key's step, and `epoch ·
+    /// steps_per_epoch + position`.
+    step: u64,
+    /// Line 5: the `B` sampled subgraphs, in sample order.
+    batch: Vec<Subgraph>,
+    /// `W_in` rows the batch touches, in first-touch order.
+    touched_in: Vec<NodeId>,
+    /// `W_out` rows the batch touches, in first-touch order.
+    touched_out: Vec<NodeId>,
+    /// `NonZero` noise, one `dim`-row per `touched_in` row (empty for
+    /// the other strategies).
+    noise_in: Vec<f64>,
+    /// `NonZero` noise, one `dim`-row per `touched_out` row.
+    noise_out: Vec<f64>,
+    /// Run RNG state after this step's batch draw.
+    rng: [u64; 4],
+}
 
-        match cfg.strategy {
-            PerturbStrategy::None | PerturbStrategy::NonZero => {
-                // Update (and, for NonZero, perturb) only touched rows.
-                for &row in &state.touched_in {
-                    let acc = state.acc_in.row_mut(row as usize);
-                    if noise_std > 0.0 {
-                        noise.perturb_slice(acc, noise_std, rng);
-                    }
-                    vector::axpy(scale, acc, model.w_in.row_mut(row as usize));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
+/// The model-independent half of a step: owns the run RNG and walks
+/// the step schedule from a (possibly resumed) start.
+struct Producer<'g> {
+    subgraphs: SubgraphGen<'g>,
+    rng: SmallRng,
+    keys: NoiseKeys,
+    /// Noise std of the slab rows; `None` when no slab is filled.
+    slab_std: Option<f64>,
+    dim: usize,
+    num_edges: usize,
+    batch: usize,
+    /// Global index of the next step to produce.
+    step: u64,
+    /// `epochs · steps_per_epoch`: the schedule's end.
+    end: u64,
+    /// Touched-row marks, cleared after every step.
+    in_flags: Vec<bool>,
+    out_flags: Vec<bool>,
+}
+
+impl Producer<'_> {
+    /// Fills `b` with the next step of the schedule; `false` once the
+    /// epoch cap is reached.
+    fn produce(&mut self, b: &mut StepBundle) -> bool {
+        if self.step >= self.end {
+            return false;
+        }
+        b.step = self.step;
+        // Line 5: B subgraphs uniformly without replacement.
+        let idx = rand::seq::index::sample(&mut self.rng, self.num_edges, self.batch);
+        b.rng = self.rng.state();
+        b.batch.clear();
+        b.touched_in.clear();
+        b.touched_out.clear();
+        for i in idx.iter() {
+            let sg = self.subgraphs.generate(i);
+            mark(&mut self.in_flags, &mut b.touched_in, sg.center);
+            mark(&mut self.out_flags, &mut b.touched_out, sg.positive);
+            for &n in &sg.negatives {
+                mark(&mut self.out_flags, &mut b.touched_out, n);
+            }
+            b.batch.push(sg);
+        }
+        for &r in &b.touched_in {
+            self.in_flags[r as usize] = false;
+        }
+        for &r in &b.touched_out {
+            self.out_flags[r as usize] = false;
+        }
+        b.noise_in.clear();
+        b.noise_out.clear();
+        if let Some(std) = self.slab_std {
+            let (dim, step) = (self.dim, b.step);
+            for (matrix, rows, slab) in [
+                (W_IN, &b.touched_in, &mut b.noise_in),
+                (W_OUT, &b.touched_out, &mut b.noise_out),
+            ] {
+                slab.resize(rows.len() * dim, 0.0);
+                for (&row, out) in rows.iter().zip(slab.chunks_exact_mut(dim)) {
+                    self.keys.fill_row(step, matrix, row as u64, out, std);
                 }
-                for &row in &state.touched_out {
-                    let acc = state.acc_out.row_mut(row as usize);
-                    if noise_std > 0.0 {
-                        noise.perturb_slice(acc, noise_std, rng);
+            }
+        }
+        self.step += 1;
+        true
+    }
+}
+
+/// Appends `row` to `touched` the first time it is seen this step.
+fn mark(flags: &mut [bool], touched: &mut Vec<NodeId>, row: NodeId) {
+    if !flags[row as usize] {
+        flags[row as usize] = true;
+        touched.push(row);
+    }
+}
+
+/// The model-dependent half of a step, and the loop state a
+/// [`TrainerState`] snapshots.
+struct Consumer<'a, 's> {
+    cfg: &'a TrainConfig,
+    prox: &'a EdgeProximity,
+    keys: NoiseKeys,
+    /// Per-coordinate noise std (0 for non-private runs).
+    noise_std: f64,
+    /// `-η / B`: the averaged SGD step.
+    scale: f64,
+    steps_per_epoch: u64,
+    fingerprint: u64,
+    model: SkipGramModel,
+    /// Batch gradient accumulators, zeroed row by row after each
+    /// update (only touched rows are ever dirty).
+    acc_in: DenseMatrix,
+    acc_out: DenseMatrix,
+    buf: GradBuffer,
+    accountant: Option<BudgetedAccountant>,
+    sink: Option<CheckpointSink<'s>>,
+    steps_run: u64,
+    stopped_by_budget: bool,
+    /// Final-epoch loss accumulator: (sum, examples).
+    loss: (f64, u64),
+}
+
+impl Consumer<'_, '_> {
+    /// Runs one produced step; `Ok(false)` when the budget stops
+    /// training before it.
+    fn consume(&mut self, b: &StepBundle) -> io::Result<bool> {
+        let cfg = self.cfg;
+        // Lines 8–10: stop when the budget would be exceeded.
+        if let Some(acc) = self.accountant.as_mut() {
+            if !acc.try_step() {
+                self.stopped_by_budget = true;
+                return Ok(false);
+            }
+        }
+        let epoch = b.step / self.steps_per_epoch;
+        let final_epoch = epoch + 1 == cfg.epochs as u64;
+        // Per-example gradients, clipped, reduced in batch order.
+        for sg in &b.batch {
+            let p = self.prox.weights[sg.edge_index];
+            if final_epoch {
+                self.loss.0 += self.model.loss(sg, p);
+                self.loss.1 += 1;
+            }
+            let buf = &mut self.buf;
+            self.model.example_grad(sg, p, buf);
+            buf.clip(cfg.clip);
+            vector::axpy(
+                1.0,
+                &buf.grad_center,
+                self.acc_in.row_mut(buf.center as usize),
+            );
+            for (&row, grad) in buf.ctx_rows().iter().zip(buf.ctx_grads()) {
+                vector::axpy(1.0, grad, self.acc_out.row_mut(row as usize));
+            }
+        }
+        // Lines 6–7: perturb and apply.
+        self.apply_update(b);
+        self.steps_run += 1;
+        // Checkpoint at the step boundary: the batch accumulators are
+        // zeroed here, so the loop state is exactly (counters, RNG,
+        // loss, model, accountant) — everything TrainerState captures.
+        // `epochs_run` counts epochs finished before this step's, and
+        // `step_in_epoch` steps done inside it.
+        if let (Some(every), Some(sink)) = (cfg.checkpoint_every, self.sink.as_mut()) {
+            if self.steps_run % every == 0 {
+                let accountant = self.accountant.as_ref();
+                let snapshot = TrainerState {
+                    fingerprint: self.fingerprint,
+                    steps_run: self.steps_run,
+                    epochs_run: epoch,
+                    step_in_epoch: b.step % self.steps_per_epoch + 1,
+                    rng: b.rng,
+                    noise_spare: None,
+                    loss_sum: self.loss.0,
+                    loss_count: self.loss.1,
+                    w_in: self.model.w_in.clone(),
+                    w_out: self.model.w_out.clone(),
+                    accountant_orders_max: accountant.map(|a| a.max_order()).unwrap_or(0),
+                    accountant_rdp: accountant.map(|a| a.rdp_raw().to_vec()).unwrap_or_default(),
+                    accountant_steps: accountant.map(|a| a.steps()).unwrap_or(0),
+                };
+                sink(&snapshot)?;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Noise + SGD application for one batch, per the strategy; leaves
+    /// the accumulators zeroed.
+    fn apply_update(&mut self, b: &StepBundle) {
+        let (scale, std, dim) = (self.scale, self.noise_std, self.model.dim());
+        let model = &mut self.model;
+        match self.cfg.strategy {
+            PerturbStrategy::None | PerturbStrategy::NonZero => {
+                // Update (and, for NonZero, perturb) only touched rows;
+                // the slabs are empty without noise.
+                for (rows, noise, acc, w) in [
+                    (
+                        &b.touched_in,
+                        &b.noise_in,
+                        &mut self.acc_in,
+                        &mut model.w_in,
+                    ),
+                    (
+                        &b.touched_out,
+                        &b.noise_out,
+                        &mut self.acc_out,
+                        &mut model.w_out,
+                    ),
+                ] {
+                    for (j, &row) in rows.iter().enumerate() {
+                        let acc = acc.row_mut(row as usize);
+                        if let Some(noise) = noise.get(j * dim..(j + 1) * dim) {
+                            vector::axpy(1.0, noise, acc);
+                        }
+                        vector::axpy(scale, acc, w.row_mut(row as usize));
+                        acc.fill(0.0);
                     }
-                    vector::axpy(scale, acc, model.w_out.row_mut(row as usize));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
                 }
             }
             PerturbStrategy::Naive => {
                 // Every row of both gradient matrices is perturbed
                 // (Fig. 2(c)), including rows whose gradient is zero.
-                let n = model.num_nodes();
-                let dim = model.dim();
                 let mut noise_row = vec![0.0f64; dim];
-                for row in 0..n {
-                    noise.fill_slice(&mut noise_row, noise_std, rng);
-                    let acc = state.acc_in.row_mut(row);
-                    vector::axpy(1.0, acc, &mut noise_row);
-                    vector::axpy(scale, &noise_row, model.w_in.row_mut(row));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-
-                    noise.fill_slice(&mut noise_row, noise_std, rng);
-                    let acc = state.acc_out.row_mut(row);
-                    vector::axpy(1.0, acc, &mut noise_row);
-                    vector::axpy(scale, &noise_row, model.w_out.row_mut(row));
-                    acc.iter_mut().for_each(|v| *v = 0.0);
+                for row in 0..model.num_nodes() {
+                    for (matrix, acc, w) in [
+                        (W_IN, &mut self.acc_in, &mut model.w_in),
+                        (W_OUT, &mut self.acc_out, &mut model.w_out),
+                    ] {
+                        self.keys
+                            .fill_row(b.step, matrix, row as u64, &mut noise_row, std);
+                        let acc = acc.row_mut(row);
+                        vector::axpy(1.0, acc, &mut noise_row);
+                        vector::axpy(scale, &noise_row, w.row_mut(row));
+                        acc.fill(0.0);
+                    }
                 }
             }
         }
-        state.clear_touched();
-    }
-}
-
-/// Batch gradient accumulators with touched-row tracking: reused
-/// across every step of a run, zeroed row-by-row (only touched rows
-/// are ever dirty).
-struct BatchState {
-    acc_in: DenseMatrix,
-    acc_out: DenseMatrix,
-    touched_in: Vec<NodeId>,
-    touched_out: Vec<NodeId>,
-    in_flags: Vec<bool>,
-    out_flags: Vec<bool>,
-}
-
-impl BatchState {
-    fn new(num_nodes: usize, dim: usize) -> Self {
-        Self {
-            acc_in: DenseMatrix::zeros(num_nodes, dim),
-            acc_out: DenseMatrix::zeros(num_nodes, dim),
-            touched_in: Vec::new(),
-            touched_out: Vec::new(),
-            in_flags: vec![false; num_nodes],
-            out_flags: vec![false; num_nodes],
-        }
-    }
-
-    fn accumulate(&mut self, buf: &GradBuffer) {
-        let c = buf.center as usize;
-        if !self.in_flags[c] {
-            self.in_flags[c] = true;
-            self.touched_in.push(buf.center);
-        }
-        vector::axpy(1.0, &buf.grad_center, self.acc_in.row_mut(c));
-        for (row, grad) in buf.ctx_rows().iter().zip(buf.ctx_grads()) {
-            let r = *row as usize;
-            if !self.out_flags[r] {
-                self.out_flags[r] = true;
-                self.touched_out.push(*row);
-            }
-            vector::axpy(1.0, grad, self.acc_out.row_mut(r));
-        }
-    }
-
-    fn clear_touched(&mut self) {
-        for &r in &self.touched_in {
-            self.in_flags[r as usize] = false;
-        }
-        for &r in &self.touched_out {
-            self.out_flags[r as usize] = false;
-        }
-        self.touched_in.clear();
-        self.touched_out.clear();
     }
 }
 
@@ -769,12 +889,47 @@ mod tests {
         let prox = EdgeProximity::compute(&g, ProximityKind::Degree);
         let mut cfg = quick_config(PerturbStrategy::NonZero);
         // γ = 16/48 = 1/3 is large; ε = 0.05 is minuscule: the budget
-        // must bind almost immediately.
+        // must bind almost immediately. With two threads the producer
+        // is a step ahead when the budget binds: training must still
+        // return, with the same report.
         cfg.epsilon = 0.05;
         cfg.epochs = 100;
-        let (_, rep) = Trainer::new(cfg).train(&g, &prox);
-        assert!(rep.stopped_by_budget);
-        assert!(rep.epochs_run < 100);
+        let mut steps = Vec::new();
+        for threads in [1, 2] {
+            cfg.threads = Some(threads);
+            let (_, rep) = Trainer::new(cfg.clone()).train(&g, &prox);
+            assert!(rep.stopped_by_budget);
+            assert!(rep.epochs_run < 100);
+            steps.push(rep.steps_run);
+        }
+        assert_eq!(steps[0], steps[1]);
+    }
+
+    #[test]
+    fn sink_error_stops_training_with_producer_ahead() {
+        // A failing checkpoint write must end the run with its error,
+        // also when the producer thread is blocked handing over the
+        // next step.
+        let g = ring_with_chords(40);
+        let prox = EdgeProximity::compute(&g, ProximityKind::Degree);
+        let mut cfg = quick_config(PerturbStrategy::NonZero);
+        cfg.checkpoint_every = Some(1);
+        for threads in [1, 2] {
+            cfg.threads = Some(threads);
+            let mut written = Vec::new();
+            let mut sink = |st: &TrainerState| {
+                written.push(st.steps_run);
+                if st.steps_run == 3 {
+                    return Err(io::Error::other("disk full"));
+                }
+                Ok(())
+            };
+            let err = Trainer::new(cfg.clone())
+                .train_checkpointed(&g, &prox, None, None, &mut sink)
+                .expect_err("the sink failed");
+            assert_eq!(err.to_string(), "disk full");
+            assert_eq!(written, vec![1, 2, 3], "threads={threads}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sp_graph::{Graph, NodeId};
 use sp_linalg::{CooBuilder, CsrMatrix};
+use sp_parallel::splitmix64;
 
 /// Configuration of a walk corpus.
 #[derive(Clone, Copy, Debug)]
@@ -93,15 +94,6 @@ pub fn corpus_pairs<R: Rng + ?Sized>(
         }
     }
     pairs
-}
-
-/// One SplitMix64 step — the standard 64-bit finaliser used to spread
-/// a seed over the whole space before per-walk derivation.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The RNG that drives walk number `walk_index` of a seeded corpus:

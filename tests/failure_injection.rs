@@ -356,7 +356,8 @@ fn model_read_from_missing_path_is_io_typed() {
 // --- checkpoint (.spc) failure injection --------------------------------
 
 /// A realistic serialised checkpoint the tests corrupt: full state with
-/// accountant curve and a pending Marsaglia spare.
+/// accountant curve and the spare word set (the layout still carries
+/// it, so its flag and field must survive corruption tests too).
 fn checkpoint_bytes() -> Vec<u8> {
     use se_privgemb_suite::linalg::DenseMatrix;
     let st = TrainerState {

@@ -59,8 +59,7 @@ fn golden_graph() -> Graph {
     generators::barabasi_albert(40, 3, &mut rng)
 }
 
-/// Ring + chords (60 nodes, 72 edges) used for the trainer goldens;
-/// large enough that batch 64 crosses the trainer's parallel cutover.
+/// Ring + chords (60 nodes, 72 edges) used for the trainer goldens.
 fn ring_with_chords(n: usize) -> Graph {
     let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
     for i in (0..n).step_by(5) {
@@ -133,8 +132,13 @@ const GOLDEN_DEG_MIN_BITS: u64 = 0x3fbde27703a412ea;
 // materialised and streamed shards of any height stay bit-identical.
 // STEPS and EPS depend only on the accountant schedule and are
 // unchanged.
-const GOLDEN_TRAIN_W_IN: u64 = 0x0eadb821fe3f7083;
-const GOLDEN_TRAIN_W_OUT: u64 = 0x6a612b00aedfe9d6;
+// Re-pinned once more when noise moved from Marsaglia polar draws on
+// the run RNG to ziggurat rows keyed by (seed, step, matrix, row):
+// every noise value changes, and so does the batch sequence, which no
+// longer interleaves with noise draws on the run RNG. STEPS and EPS
+// are unchanged.
+const GOLDEN_TRAIN_W_IN: u64 = 0xc32f1c24be4f5e99;
+const GOLDEN_TRAIN_W_OUT: u64 = 0x64734194be18b896;
 const GOLDEN_TRAIN_STEPS: u64 = 6;
 const GOLDEN_TRAIN_EPS_BITS: u64 = 0x4003c53506d06d1a;
 // Pinned at introduction of the seeded corpus (threads=1 == threads=4
@@ -279,28 +283,33 @@ fn trainer_threads1_matches_pre_refactor_golden() {
 
 #[test]
 fn trainer_bit_identical_for_1_and_4_threads() {
+    // 1 runs the step producer inline; 2 and 4 run it a step ahead on
+    // its own thread.
     let one = golden_trainer(1);
-    let four = golden_trainer(4);
-    assert_eq!(
-        one.model.w_in.as_slice(),
-        four.model.w_in.as_slice(),
-        "W_in differs across thread counts"
-    );
-    assert_eq!(
-        one.model.w_out.as_slice(),
-        four.model.w_out.as_slice(),
-        "W_out differs across thread counts"
-    );
-    assert_eq!(
-        one.report.final_loss.to_bits(),
-        four.report.final_loss.to_bits()
-    );
+    for threads in [2, 4] {
+        let many = golden_trainer(threads);
+        assert_eq!(
+            one.model.w_in.as_slice(),
+            many.model.w_in.as_slice(),
+            "W_in differs at threads={threads}"
+        );
+        assert_eq!(
+            one.model.w_out.as_slice(),
+            many.model.w_out.as_slice(),
+            "W_out differs at threads={threads}"
+        );
+        assert_eq!(
+            one.report.final_loss.to_bits(),
+            many.report.final_loss.to_bits(),
+            "loss differs at threads={threads}"
+        );
+    }
 }
 
 #[test]
 fn accountant_charges_identical_steps_for_any_thread_count() {
     // The RDP accountant must see the same subsampled-Gaussian step
-    // sequence no matter how the gradient pass is scheduled: identical
+    // sequence no matter how the step pipeline is scheduled: identical
     // step counts AND identical (bitwise) budget spend.
     let one = golden_trainer(1);
     let four = golden_trainer(4);
