@@ -19,9 +19,9 @@
 //! and separately asserts ≤ 1 ulp agreement with an inline reference
 //! implementation of the pre-refactor algorithm.
 
-use rand::rngs::StdRng;
+use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
-use se_privgemb::{PerturbStrategy, ProximityKind, SePrivGEmb};
+use se_privgemb::{NegativeSampling, PerturbStrategy, ProximityKind, SePrivGEmb};
 use se_privgemb_suite::model::Provenance;
 use se_privgemb_suite::serve::{self, EmbeddingStore, IvfConfig, IvfIndex};
 use sp_datasets::generators;
@@ -68,7 +68,13 @@ fn ring_with_chords(n: usize) -> Graph {
     Graph::from_edges(n, edges)
 }
 
-fn golden_trainer(threads: usize) -> se_privgemb::EmbeddingResult {
+/// The trainer golden fixture: 60 nodes, dim 16, k = 3, B = 64 (two
+/// steps an epoch), three epochs.
+fn golden_fit(
+    threads: usize,
+    strategy: PerturbStrategy,
+    sampling: NegativeSampling,
+) -> se_privgemb::EmbeddingResult {
     SePrivGEmb::builder()
         .dim(16)
         .negatives(3)
@@ -79,12 +85,25 @@ fn golden_trainer(threads: usize) -> se_privgemb::EmbeddingResult {
         .epsilon(3.5)
         .delta(1e-5)
         .epochs(3)
-        .strategy(PerturbStrategy::NonZero)
+        .strategy(strategy)
+        .negative_sampling(sampling)
         .proximity(ProximityKind::deepwalk_default())
         .seed(0xD5EED)
         .threads(threads)
         .build()
         .fit(&ring_with_chords(60))
+}
+
+fn golden_trainer(threads: usize) -> se_privgemb::EmbeddingResult {
+    golden_fit(
+        threads,
+        PerturbStrategy::NonZero,
+        NegativeSampling::UniformNonNeighbor,
+    )
+}
+
+fn weights_digest(m: &sp_linalg::DenseMatrix) -> u64 {
+    fnv1a64(m.as_slice().iter().map(|v| v.to_bits()))
 }
 
 const SPARSE_KINDS: [ProximityKind; 6] = [
@@ -141,6 +160,36 @@ const GOLDEN_TRAIN_W_IN: u64 = 0xc32f1c24be4f5e99;
 const GOLDEN_TRAIN_W_OUT: u64 = 0x64734194be18b896;
 const GOLDEN_TRAIN_STEPS: u64 = 6;
 const GOLDEN_TRAIN_EPS_BITS: u64 = 0x4003c53506d06d1a;
+/// `(strategy, negative sampling, W_in digest, W_out digest, steps)`
+/// of the update paths `GOLDEN_TRAIN_*` does not cover: the
+/// non-private step, the `Naive` all-rows update, and degree-
+/// proportional negatives, whose duplicate negatives (and negatives
+/// equal to the positive) go through `GradBuffer`'s row merge. Pinned
+/// on the dense-accumulator trainer, before batches were reduced into
+/// touched-row slabs.
+const GOLDEN_UPDATE_PATHS: [(PerturbStrategy, NegativeSampling, u64, u64, u64); 3] = [
+    (
+        PerturbStrategy::None,
+        NegativeSampling::UniformNonNeighbor,
+        0xff039af450ce2f30,
+        0x89a54799a845c434,
+        6,
+    ),
+    (
+        PerturbStrategy::Naive,
+        NegativeSampling::UniformNonNeighbor,
+        0xe116ec6a9e25f70c,
+        0x00fd34de3af59231,
+        6,
+    ),
+    (
+        PerturbStrategy::NonZero,
+        NegativeSampling::DegreeProportional,
+        0x8c51240c3780ee6c,
+        0x9c23075f8ee41782,
+        6,
+    ),
+];
 // Pinned at introduction of the seeded corpus (threads=1 == threads=4
 // by construction; the constant guards against future drift).
 const GOLDEN_WALK_PAIRS: usize = 2280;
@@ -269,14 +318,8 @@ fn neighborhood_matches_pre_refactor_reference_within_one_ulp() {
 #[test]
 fn trainer_threads1_matches_pre_refactor_golden() {
     let r = golden_trainer(1);
-    assert_eq!(
-        fnv1a64(r.model.w_in.as_slice().iter().map(|v| v.to_bits())),
-        GOLDEN_TRAIN_W_IN
-    );
-    assert_eq!(
-        fnv1a64(r.model.w_out.as_slice().iter().map(|v| v.to_bits())),
-        GOLDEN_TRAIN_W_OUT
-    );
+    assert_eq!(weights_digest(&r.model.w_in), GOLDEN_TRAIN_W_IN);
+    assert_eq!(weights_digest(&r.model.w_out), GOLDEN_TRAIN_W_OUT);
     assert_eq!(r.report.steps_run, GOLDEN_TRAIN_STEPS);
     assert_eq!(r.report.epsilon_spent.to_bits(), GOLDEN_TRAIN_EPS_BITS);
 }
@@ -307,6 +350,45 @@ fn trainer_bit_identical_for_1_and_4_threads() {
 }
 
 #[test]
+fn every_update_path_matches_its_golden_at_1_and_2_threads() {
+    for (strategy, sampling, w_in, w_out, steps) in GOLDEN_UPDATE_PATHS {
+        for threads in [1, 2] {
+            let r = golden_fit(threads, strategy, sampling);
+            let at = format!("{strategy:?}/{sampling:?} at threads={threads}");
+            assert_eq!(weights_digest(&r.model.w_in), w_in, "W_in: {at}");
+            assert_eq!(weights_digest(&r.model.w_out), w_out, "W_out: {at}");
+            assert_eq!(r.report.steps_run, steps, "steps: {at}");
+        }
+    }
+}
+
+#[test]
+fn degree_proportional_golden_exercises_the_row_merge() {
+    // The trainer draws Alg. 1's base seed first from the run RNG, so
+    // this is the fixture's G_S. Its six steps sample nearly every
+    // edge; the golden above only guards the merge if G_S has both
+    // kinds of repeated context row.
+    let g = ring_with_chords(60);
+    let gs = sp_skipgram::generate_subgraphs(
+        &g,
+        3,
+        NegativeSampling::DegreeProportional,
+        &mut SmallRng::seed_from_u64(0xD5EED),
+    );
+    assert!(
+        gs.iter().any(|sg| {
+            let n = &sg.negatives;
+            (1..n.len()).any(|i| n[..i].contains(&n[i]))
+        }),
+        "no duplicate negatives"
+    );
+    assert!(
+        gs.iter().any(|sg| sg.negatives.contains(&sg.positive)),
+        "no negative equals its positive"
+    );
+}
+
+#[test]
 fn accountant_charges_identical_steps_for_any_thread_count() {
     // The RDP accountant must see the same subsampled-Gaussian step
     // sequence no matter how the step pipeline is scheduled: identical
@@ -325,9 +407,6 @@ fn accountant_charges_identical_steps_for_any_thread_count() {
         four.report.delta_spent.to_bits()
     );
 }
-
-// ---------------------------------------------------------------------------
-// Walk corpus
 
 // ---------------------------------------------------------------------------
 // IVF serving index
