@@ -10,8 +10,7 @@
 //!    uniform non-neighbour sampler vs the prior-work
 //!    degree-proportional sampler (Eq. 14/15);
 //! 3. **Evaluation-norm artifact**: raw vs row-normalised StrucEqu for
-//!    noisy and noiseless models (the degree-norm effect analysed in
-//!    EXPERIMENTS.md);
+//!    noisy and noiseless models (the degree-norm effect);
 //! 4. **Sensitivity scaling**: StrucEqu of the naive strategy as the
 //!    batch size grows (its `S = B·C` noise scales linearly with `B`,
 //!    the non-zero strategy's does not).

@@ -2,8 +2,10 @@
 //!
 //! Quantities that explain *why* an embedding scores the way it does
 //! on the headline metrics — chiefly the norm/degree correlation that
-//! drives the degree-norm artifact analysed in EXPERIMENTS.md, plus
-//! precision@k for the link-prediction task.
+//! drives the degree-norm artifact (measured by the `norm_artifact`
+//! study, item 3 of `sp_bench`'s `experiments::ablation`, run by the
+//! `ablation_theory` bin), plus precision@k for the link-prediction
+//! task.
 
 use sp_graph::{Graph, NodeId};
 use sp_linalg::{stats, vector, DenseMatrix};

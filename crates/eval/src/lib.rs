@@ -37,8 +37,10 @@ use sp_linalg::{vector, DenseMatrix};
 /// degree — so *raw* Euclidean distances let any DP method score on
 /// accumulated noise magnitude alone, an artifact rather than learned
 /// structure (cosine-style evaluation is the node-embedding
-/// literature's standard guard against exactly this). See
-/// EXPERIMENTS.md for the ablation.
+/// literature's standard guard against exactly this). The
+/// `norm_artifact` study (item 3 of `sp_bench`'s
+/// `experiments::ablation`, run by the `ablation_theory` bin) measures
+/// the effect.
 pub fn normalize_rows(emb: &DenseMatrix) -> DenseMatrix {
     let mut out = emb.clone();
     for r in 0..out.rows() {

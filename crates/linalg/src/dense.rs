@@ -45,10 +45,9 @@ impl DenseMatrix {
 
     /// Matrix with every entry drawn i.i.d. uniformly from `[lo, hi)`.
     ///
-    /// Skip-gram follows the word2vec convention of initialising
-    /// `W_in` uniformly in `[-0.5/r, 0.5/r)` and `W_out` at zero; the
-    /// baselines use Xavier-style ranges. Both are expressed with this
-    /// constructor.
+    /// Skip-gram draws both `W_in` and `W_out` uniformly in
+    /// `[-1/√r, 1/√r)`; the baselines use Xavier-style ranges. Both are
+    /// expressed with this constructor.
     pub fn uniform<R: Rng + ?Sized>(
         rows: usize,
         cols: usize,

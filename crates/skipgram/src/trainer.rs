@@ -29,17 +29,25 @@
 //! Keyed noise lets each step split in two:
 //!
 //! - a model-independent **producer**: sample the batch from the run
-//!   RNG, regenerate its subgraphs from [`SubgraphGen`], collect the
-//!   touched rows of `W_in`/`W_out`, write their `NonZero` noise rows
-//!   into recycled slabs, and record the RNG state after the draw;
+//!   RNG, regenerate its subgraphs from [`SubgraphGen`], give each
+//!   touched row of `W_in`/`W_out` a *slot* (its first-touch index in
+//!   the step), record every example's centre slot and context slots,
+//!   write the `NonZero` noise rows into recycled slabs in slot order,
+//!   and record the RNG state after the draw;
 //! - a model-dependent **consumer**: charge the accountant, compute and
-//!   clip each example's gradient, reduce them into the batch
-//!   accumulators in batch order, add the noise, update, and
+//!   clip each example's gradient, reduce them in batch order into two
+//!   *slabs* of one `r`-row per slot, add the noise, update, and
 //!   checkpoint (with the consumed step's RNG state).
 //!
-//! With two or more threads the producer runs one step ahead on a
-//! scoped thread behind a rendezvous channel; with one thread the
-//! consumer calls it inline. Either way the consumer sees the same
+//! A per-example gradient is non-zero on one `W_in` row and at most
+//! `k+1` `W_out` rows, so a step touches at most `B·(k+2)` rows and
+//! its slabs stay small (896 KiB at the paper's defaults) whatever
+//! `|V|`. Each slab row starts at zero and takes its row's additions
+//! in batch order, so no slot assignment changes a bit of the update.
+//!
+//! With two or more threads the producer runs on a scoped thread up
+//! to three steps ahead, behind a two-slot channel; with one thread
+//! the consumer calls it inline. Either way the consumer sees the same
 //! step bundles in the same order, so every output is bit-identical
 //! for any thread count. The `Naive` ablation perturbs all `|V|` rows,
 //! so the consumer draws its keyed rows inline rather than have the
@@ -93,11 +101,11 @@ pub struct TrainConfig {
     /// variable, then the available parallelism).
     ///
     /// With `≥ 2` the model-independent half of each step (batch
-    /// sampling, subgraph regeneration, touched rows, keyed noise rows)
-    /// runs one step ahead on a second thread while the caller's
-    /// thread computes gradients and applies the update; with `1` both
-    /// halves run inline. The pipeline has two stages, so counts above
-    /// two behave like two (see the module docs).
+    /// sampling, subgraph regeneration, touched-row slots, keyed noise
+    /// rows) runs up to three steps ahead on a second thread while the
+    /// caller's thread computes gradients and applies the update; with
+    /// `1` both halves run inline. The pipeline has two stages, so
+    /// counts above two behave like two (see the module docs).
     ///
     /// **Determinism contract:** the run RNG is drawn only by the
     /// producer, in step order; noise rows are keyed by
@@ -229,6 +237,24 @@ impl TrainConfig {
             }
         }
         h
+    }
+
+    /// Upper bound on the heap bytes a fit of this config holds for
+    /// its whole run on a graph of `num_nodes` nodes, at any thread
+    /// count: both model matrices, the producer's two `u32` row → slot
+    /// maps, and the step slabs. A step touches at most `B·(k+2)` rows;
+    /// the consumer's gradient slabs hold one `r`-row per touched row,
+    /// and so do the `NonZero` noise slabs of each of the (at most
+    /// four) step bundles in flight. The bundles' `O(B·k)` row indices
+    /// are left out.
+    pub fn resident_bytes(&self, num_nodes: usize) -> u64 {
+        let row = self.dim * 8;
+        let slab = self.batch_size * (self.negatives + 2) * row;
+        let noise_slabs = match self.strategy {
+            PerturbStrategy::NonZero => 4 * slab,
+            PerturbStrategy::None | PerturbStrategy::Naive => 0,
+        };
+        (2 * num_nodes * row + 2 * num_nodes * 4 + slab + noise_slabs) as u64
     }
 }
 
@@ -438,8 +464,8 @@ impl Trainer {
             steps_per_epoch: steps_per_epoch as u64,
             fingerprint: cfg.fingerprint(g.num_nodes(), g.num_edges()),
             model: initial.unwrap_or(fresh),
-            acc_in: DenseMatrix::zeros(g.num_nodes(), cfg.dim),
-            acc_out: DenseMatrix::zeros(g.num_nodes(), cfg.dim),
+            slab_in: Vec::new(),
+            slab_out: Vec::new(),
             buf: GradBuffer::new(),
             accountant: cfg.strategy.is_private().then(|| {
                 BudgetedAccountant::new(
@@ -498,19 +524,24 @@ impl Trainer {
             batch,
             step: consumer.steps_run,
             end: (cfg.epochs * steps_per_epoch) as u64,
-            in_flags: vec![false; g.num_nodes()],
-            out_flags: vec![false; g.num_nodes()],
+            in_slots: vec![NO_SLOT; g.num_nodes()],
+            out_slots: vec![NO_SLOT; g.num_nodes()],
         };
 
         if sp_parallel::resolve_threads(cfg.threads) > 1 {
             std::thread::scope(|scope| -> io::Result<()> {
-                // Rendezvous: the producer hands over step s + 1 only
-                // when the consumer asks for it after step s, so it
-                // runs exactly one step ahead. Spent bundles flow back
-                // for reuse; a stop (budget, sink error, panic) drops
-                // the receiver, which fails the producer's next send
-                // and ends its thread.
-                let (ahead_tx, ahead_rx) = mpsc::sync_channel::<StepBundle>(0);
+                // Two slots: while the consumer works on step s, steps
+                // s + 1 and s + 2 may wait in the channel while the
+                // producer fills s + 3, so it runs at most three steps
+                // ahead. The halves of a `NonZero` step take about as
+                // long, so a direct handoff would pass every stall of
+                // one thread (a descheduled CPU, a wake-up) on to the
+                // other; the slots let each run on through the other's
+                // short stalls. Spent bundles flow back for reuse, so
+                // at most four exist; a stop (budget, sink error,
+                // panic) drops the receiver, which fails the producer's
+                // next send and ends its thread.
+                let (ahead_tx, ahead_rx) = mpsc::sync_channel::<StepBundle>(2);
                 let (spent_tx, spent_rx) = mpsc::channel::<StepBundle>();
                 scope.spawn(move || loop {
                     let mut bundle = spent_rx.try_recv().unwrap_or_default();
@@ -566,14 +597,21 @@ struct StepBundle {
     step: u64,
     /// Line 5: the `B` sampled subgraphs, in sample order.
     batch: Vec<Subgraph>,
-    /// `W_in` rows the batch touches, in first-touch order.
+    /// `W_in` rows the batch touches, in first-touch order: row
+    /// `touched_in[j]` owns slot `j` of the `W_in` slabs.
     touched_in: Vec<NodeId>,
     /// `W_out` rows the batch touches, in first-touch order.
     touched_out: Vec<NodeId>,
-    /// `NonZero` noise, one `dim`-row per `touched_in` row (empty for
+    /// Each example's centre slot, in batch order.
+    center_slots: Vec<u32>,
+    /// Each example's unique context slots, in batch order and, within
+    /// an example, in [`GradBuffer::ctx_rows`] order: the positive,
+    /// then each negative's first appearance.
+    ctx_slots: Vec<u32>,
+    /// `NonZero` noise, one `dim`-row per `touched_in` slot (empty for
     /// the other strategies).
     noise_in: Vec<f64>,
-    /// `NonZero` noise, one `dim`-row per `touched_out` row.
+    /// `NonZero` noise, one `dim`-row per `touched_out` slot.
     noise_out: Vec<f64>,
     /// Run RNG state after this step's batch draw.
     rng: [u64; 4],
@@ -594,10 +632,14 @@ struct Producer<'g> {
     step: u64,
     /// `epochs · steps_per_epoch`: the schedule's end.
     end: u64,
-    /// Touched-row marks, cleared after every step.
-    in_flags: Vec<bool>,
-    out_flags: Vec<bool>,
+    /// Row → slot maps of the step being produced; every row is
+    /// [`NO_SLOT`] again once the step is done.
+    in_slots: Vec<u32>,
+    out_slots: Vec<u32>,
 }
+
+/// A row with no slot in the step being produced.
+const NO_SLOT: u32 = u32::MAX;
 
 impl Producer<'_> {
     /// Fills `b` with the next step of the schedule; `false` once the
@@ -613,20 +655,32 @@ impl Producer<'_> {
         b.batch.clear();
         b.touched_in.clear();
         b.touched_out.clear();
+        b.center_slots.clear();
+        b.ctx_slots.clear();
         for i in idx.iter() {
             let sg = self.subgraphs.generate(i);
-            mark(&mut self.in_flags, &mut b.touched_in, sg.center);
-            mark(&mut self.out_flags, &mut b.touched_out, sg.positive);
-            for &n in &sg.negatives {
-                mark(&mut self.out_flags, &mut b.touched_out, n);
+            b.center_slots
+                .push(slot(&mut self.in_slots, &mut b.touched_in, sg.center));
+            b.ctx_slots
+                .push(slot(&mut self.out_slots, &mut b.touched_out, sg.positive));
+            for (t, &n) in sg.negatives.iter().enumerate() {
+                // `GradBuffer` merges a repeated context row into its
+                // first appearance; skip repeats so the slots line up
+                // with its rows.
+                if n != sg.positive && !sg.negatives[..t].contains(&n) {
+                    b.ctx_slots
+                        .push(slot(&mut self.out_slots, &mut b.touched_out, n));
+                }
             }
             b.batch.push(sg);
         }
-        for &r in &b.touched_in {
-            self.in_flags[r as usize] = false;
-        }
-        for &r in &b.touched_out {
-            self.out_flags[r as usize] = false;
+        for (slots, touched) in [
+            (&mut self.in_slots, &b.touched_in),
+            (&mut self.out_slots, &b.touched_out),
+        ] {
+            for &r in touched {
+                slots[r as usize] = NO_SLOT;
+            }
         }
         b.noise_in.clear();
         b.noise_out.clear();
@@ -647,12 +701,15 @@ impl Producer<'_> {
     }
 }
 
-/// Appends `row` to `touched` the first time it is seen this step.
-fn mark(flags: &mut [bool], touched: &mut Vec<NodeId>, row: NodeId) {
-    if !flags[row as usize] {
-        flags[row as usize] = true;
+/// `row`'s slot this step, appending `row` to `touched` (and so
+/// giving it the next slot) on its first touch.
+fn slot(slots: &mut [u32], touched: &mut Vec<NodeId>, row: NodeId) -> u32 {
+    let s = &mut slots[row as usize];
+    if *s == NO_SLOT {
+        *s = touched.len() as u32;
         touched.push(row);
     }
+    *s
 }
 
 /// The model-dependent half of a step, and the loop state a
@@ -668,10 +725,10 @@ struct Consumer<'a, 's> {
     steps_per_epoch: u64,
     fingerprint: u64,
     model: SkipGramModel,
-    /// Batch gradient accumulators, zeroed row by row after each
-    /// update (only touched rows are ever dirty).
-    acc_in: DenseMatrix,
-    acc_out: DenseMatrix,
+    /// The step's summed clipped gradients, one `dim`-row per slot of
+    /// `touched_in` / `touched_out`; zeroed at the start of each step.
+    slab_in: Vec<f64>,
+    slab_out: Vec<f64>,
     buf: GradBuffer,
     accountant: Option<BudgetedAccountant>,
     sink: Option<CheckpointSink<'s>>,
@@ -695,8 +752,17 @@ impl Consumer<'_, '_> {
         }
         let epoch = b.step / self.steps_per_epoch;
         let final_epoch = epoch + 1 == cfg.epochs as u64;
+        let dim = self.model.dim();
+        for (slab, rows) in [
+            (&mut self.slab_in, b.touched_in.len()),
+            (&mut self.slab_out, b.touched_out.len()),
+        ] {
+            slab.clear();
+            slab.resize(rows * dim, 0.0);
+        }
         // Per-example gradients, clipped, reduced in batch order.
-        for sg in &b.batch {
+        let mut ctx_slots = b.ctx_slots.iter();
+        for (sg, &center) in b.batch.iter().zip(&b.center_slots) {
             let p = self.prox.weights[sg.edge_index];
             if final_epoch {
                 self.loss.0 += self.model.loss(sg, p);
@@ -708,19 +774,23 @@ impl Consumer<'_, '_> {
             vector::axpy(
                 1.0,
                 &buf.grad_center,
-                self.acc_in.row_mut(buf.center as usize),
+                slab_row(&mut self.slab_in, center, dim),
             );
-            for (&row, grad) in buf.ctx_rows().iter().zip(buf.ctx_grads()) {
-                vector::axpy(1.0, grad, self.acc_out.row_mut(row as usize));
+            let ctx = buf.ctx_rows().iter().zip(buf.ctx_grads());
+            for ((&row, grad), &slot) in ctx.zip(ctx_slots.by_ref()) {
+                debug_assert_eq!(b.touched_out[slot as usize], row, "slot of another row");
+                vector::axpy(1.0, grad, slab_row(&mut self.slab_out, slot, dim));
             }
         }
+        debug_assert_eq!(ctx_slots.len(), 0, "unused context slots");
         // Lines 6–7: perturb and apply.
         self.apply_update(b);
         self.steps_run += 1;
-        // Checkpoint at the step boundary: the batch accumulators are
-        // zeroed here, so the loop state is exactly (counters, RNG,
-        // loss, model, accountant) — everything TrainerState captures.
-        // `epochs_run` counts epochs finished before this step's, and
+        // Checkpoint at the step boundary: the slabs hold only this
+        // step's gradients and are re-zeroed before the next one, so
+        // the loop state is exactly (counters, RNG, loss, model,
+        // accountant) — everything TrainerState captures. `epochs_run`
+        // counts epochs finished before this step's, and
         // `step_in_epoch` steps done inside it.
         if let (Some(every), Some(sink)) = (cfg.checkpoint_every, self.sink.as_mut()) {
             if self.steps_run % every == 0 {
@@ -746,59 +816,69 @@ impl Consumer<'_, '_> {
         Ok(true)
     }
 
-    /// Noise + SGD application for one batch, per the strategy; leaves
-    /// the accumulators zeroed.
+    /// Noise + SGD application for one batch, per the strategy.
     fn apply_update(&mut self, b: &StepBundle) {
         let (scale, std, dim) = (self.scale, self.noise_std, self.model.dim());
         let model = &mut self.model;
+        let matrices = [
+            (
+                W_IN,
+                &b.touched_in,
+                &b.noise_in,
+                &mut self.slab_in,
+                &mut model.w_in,
+            ),
+            (
+                W_OUT,
+                &b.touched_out,
+                &b.noise_out,
+                &mut self.slab_out,
+                &mut model.w_out,
+            ),
+        ];
         match self.cfg.strategy {
             PerturbStrategy::None | PerturbStrategy::NonZero => {
                 // Update (and, for NonZero, perturb) only touched rows;
-                // the slabs are empty without noise.
-                for (rows, noise, acc, w) in [
-                    (
-                        &b.touched_in,
-                        &b.noise_in,
-                        &mut self.acc_in,
-                        &mut model.w_in,
-                    ),
-                    (
-                        &b.touched_out,
-                        &b.noise_out,
-                        &mut self.acc_out,
-                        &mut model.w_out,
-                    ),
-                ] {
-                    for (j, &row) in rows.iter().enumerate() {
-                        let acc = acc.row_mut(row as usize);
+                // the noise slabs are empty without noise.
+                for (_, rows, noise, slab, w) in matrices {
+                    let grads = slab.chunks_exact_mut(dim);
+                    for (j, (&row, grad)) in rows.iter().zip(grads).enumerate() {
                         if let Some(noise) = noise.get(j * dim..(j + 1) * dim) {
-                            vector::axpy(1.0, noise, acc);
+                            vector::axpy(1.0, noise, grad);
                         }
-                        vector::axpy(scale, acc, w.row_mut(row as usize));
-                        acc.fill(0.0);
+                        vector::axpy(scale, grad, w.row_mut(row as usize));
                     }
                 }
             }
             PerturbStrategy::Naive => {
                 // Every row of both gradient matrices is perturbed
                 // (Fig. 2(c)), including rows whose gradient is zero.
+                // Those take their noise alone: adding a zero gradient
+                // row would change no bit, as no ziggurat deviate is
+                // -0.0.
                 let mut noise_row = vec![0.0f64; dim];
-                for row in 0..model.num_nodes() {
-                    for (matrix, acc, w) in [
-                        (W_IN, &mut self.acc_in, &mut model.w_in),
-                        (W_OUT, &mut self.acc_out, &mut model.w_out),
-                    ] {
+                for (matrix, rows, _, slab, w) in matrices {
+                    let mut by_row: Vec<(NodeId, u32)> = rows.iter().copied().zip(0..).collect();
+                    by_row.sort_unstable();
+                    let mut touched = by_row.into_iter().peekable();
+                    for row in 0..w.rows() {
                         self.keys
                             .fill_row(b.step, matrix, row as u64, &mut noise_row, std);
-                        let acc = acc.row_mut(row);
-                        vector::axpy(1.0, acc, &mut noise_row);
+                        if let Some((_, j)) = touched.next_if(|&(r, _)| r as usize == row) {
+                            vector::axpy(1.0, slab_row(slab, j, dim), &mut noise_row);
+                        }
                         vector::axpy(scale, &noise_row, w.row_mut(row));
-                        acc.fill(0.0);
                     }
                 }
             }
         }
     }
+}
+
+/// Slot `j`'s row of a `dim`-wide slab.
+fn slab_row(slab: &mut [f64], j: u32, dim: usize) -> &mut [f64] {
+    let start = j as usize * dim;
+    &mut slab[start..start + dim]
 }
 
 /// Convenience: builds the default-config trainer, computes the
@@ -890,8 +970,8 @@ mod tests {
         let mut cfg = quick_config(PerturbStrategy::NonZero);
         // γ = 16/48 = 1/3 is large; ε = 0.05 is minuscule: the budget
         // must bind almost immediately. With two threads the producer
-        // is a step ahead when the budget binds: training must still
-        // return, with the same report.
+        // is ahead when the budget binds: training must still return,
+        // with the same report.
         cfg.epsilon = 0.05;
         cfg.epochs = 100;
         let mut steps = Vec::new();

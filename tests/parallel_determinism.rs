@@ -326,8 +326,8 @@ fn trainer_threads1_matches_pre_refactor_golden() {
 
 #[test]
 fn trainer_bit_identical_for_1_and_4_threads() {
-    // 1 runs the step producer inline; 2 and 4 run it a step ahead on
-    // its own thread.
+    // 1 runs the step producer inline; 2 and 4 run it up to three
+    // steps ahead on its own thread.
     let one = golden_trainer(1);
     for threads in [2, 4] {
         let many = golden_trainer(threads);
