@@ -1,7 +1,7 @@
 //! Out-of-core pipeline scale bench + CI memory-regression gate.
 //!
 //! Drives the training pipeline end to end on a synthetic
-//! bounded-degree graph: streamed CSR ingestion ([`StreamingCsr`]),
+//! bounded-degree graph: CSR construction through [`GraphBuilder`],
 //! row-banded proximity ([`EdgeProximity::compute_threads`], which
 //! drains bands of [`BAND_ROWS`] rows), the degree alias table of
 //! Alg. 1's degree-proportional sampler, and the trainer, which
@@ -36,13 +36,12 @@ use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
 use sp_bench::scale::{
     compare_scale, parse_scale_tsv, ScaleGateOutcome, ScaleRow, SCALE_TSV_HEADER,
 };
-use sp_graph::{Graph, StreamingCsr};
+use sp_graph::{Graph, GraphBuilder};
 use sp_mem::MemTracker;
 use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{EdgeProximity, ProximityKind};
 use sp_skipgram::{NegativeSampling, PerturbStrategy, Subgraph, TrainConfig, Trainer};
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One scale-bench scenario.
@@ -137,12 +136,12 @@ fn main() {
     );
 
     let mut failures: Vec<String> = Vec::new();
-    let tracker = MemTracker::shared();
+    let tracker = MemTracker::new();
     let t_start = Instant::now();
 
-    // --- 1. Streamed ingestion: edges arrive one at a time. ---
+    // --- 1. Ingestion: edges arrive one at a time. ---
     let t0 = Instant::now();
-    let g = synthetic_graph(sc.nodes, sc.chords, Some(Arc::clone(&tracker)));
+    let g = synthetic_graph(sc.nodes, sc.chords, &tracker);
     let ingest_ms = t0.elapsed().as_millis();
     let graph_bytes = g.heap_bytes();
     println!(
@@ -307,23 +306,26 @@ fn count_row(metric: &str, count: usize) -> ScaleRow {
 
 /// Ring + chords: node `i` connects to `i+1` and to `i + stride_j`
 /// for `chords` fixed strides — bounded degree ≈ `2·(1 + chords)`,
-/// deterministic, and generated edge-by-edge so ingestion is a true
-/// stream (no edge list ever materialises outside the builder).
-fn synthetic_graph(n: usize, chords: usize, tracker: Option<Arc<MemTracker>>) -> Graph {
-    let mut csr = match tracker {
-        Some(t) => StreamingCsr::with_tracker(n, t),
-        None => StreamingCsr::new(n),
-    };
+/// deterministic, and generated edge-by-edge so no edge list
+/// materialises outside the builder. `tracker` holds the builder's
+/// queued edges until the graph is built, then the graph's heap.
+fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
+    let mut b = GraphBuilder::new(n);
     let strides: Vec<usize> = (1..=chords)
         .map(|j| ((j * n) / (chords + 3)).max(2) + j)
         .collect();
     for i in 0..n {
-        csr.push(i as u32, ((i + 1) % n) as u32);
+        b.add_edge(i as u32, ((i + 1) % n) as u32);
         for &s in &strides {
-            csr.push(i as u32, ((i + s) % n) as u32);
+            b.add_edge(i as u32, ((i + s) % n) as u32);
         }
     }
-    csr.finish()
+    let queued = (b.pending_edges() * std::mem::size_of::<(u32, u32)>()) as u64;
+    tracker.add(queued);
+    let g = b.build();
+    tracker.release(queued);
+    tracker.add(g.heap_bytes());
+    g
 }
 
 /// Sweeps the common-neighbour row bands at the engine's height once

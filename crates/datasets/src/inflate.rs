@@ -2,21 +2,26 @@
 //!
 //! The real SNAP/KONECT dataset archives ship as `.gz` files; this
 //! build environment has no registry access, so `flate2` cannot be
-//! vendored. This module implements the decoder side from scratch:
-//! stored, fixed-Huffman, and dynamic-Huffman blocks, the 32 KiB LZ77
-//! back-reference window, and the gzip member framing with full CRC32
-//! and ISIZE trailer validation. Multi-member (concatenated) gzip
-//! files are supported; compression is out of scope (the test suites
-//! carry a minimal stored-block writer where round-trips are needed).
+//! vendored. This module holds the format: the typed
+//! [`InflateError`]s, the canonical Huffman codes and their two-level
+//! decode tables, the length/distance tables, the gzip header flags,
+//! and a stored-block writer ([`gzip_store`]) for tests and fixtures.
+//! The one decoder is [`crate::stream::GzipStreamReader`]: stored,
+//! fixed- and dynamic-Huffman blocks, the 32 KiB LZ77 window,
+//! multi-member files, and CRC32/ISIZE trailer validation.
+//! [`gunzip`] reads it to the end.
 //!
-//! The Huffman decoder follows the canonical counting scheme of Mark
-//! Adler's `puff.c`: codes are resolved length by length against the
-//! per-length symbol counts, so no decode table larger than the
-//! symbol list is materialised. Incomplete codes are accepted (they
-//! occur in legal streams with a single distance code); oversubscribed
-//! codes are rejected at table-build time.
+//! Codes are laid out in canonical order with the per-length counting
+//! of Mark Adler's `puff.c`, then expanded into a two-level table: a
+//! 512-entry primary table plus overflow subtables, so a symbol costs
+//! one or two table probes. Incomplete codes are accepted (they occur
+//! in legal streams with a single distance code); oversubscribed codes
+//! are rejected at table-build time.
 
+use crate::stream::GzipStreamReader;
+use sp_parallel::crc32;
 use std::fmt;
+use std::io::Read;
 
 /// Maximum Huffman code length (RFC 1951 §3.2.1).
 const MAX_BITS: usize = 15;
@@ -125,47 +130,6 @@ impl fmt::Display for InflateError {
 
 impl std::error::Error for InflateError {}
 
-// --- CRC32 (IEEE 802.3, reflected; the gzip checksum) -------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// One CRC32 step over the *raw* (pre-inversion) state, for callers
-/// that checksum incrementally: seed with `!0`, feed bytes, finish
-/// with `!state`.
-pub(crate) fn crc32_step(state: u32, byte: u8) -> u32 {
-    CRC32_TABLE[((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8)
-}
-
-/// CRC32 (IEEE, reflected) of `data` — the checksum gzip stores in its
-/// trailer. Exposed so tests and writers can frame their own members.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = crc32_step(c, b);
-    }
-    !c
-}
-
 /// Returns `true` if `data` starts with the gzip magic bytes.
 pub fn is_gzip(data: &[u8]) -> bool {
     data.len() >= 2 && data[0] == 0x1F && data[1] == 0x8B
@@ -197,132 +161,12 @@ pub fn gzip_store(data: &[u8]) -> Vec<u8> {
     out
 }
 
-// --- Bit-level input ----------------------------------------------------
-
-/// LSB-first DEFLATE bit access, abstracted so the one-shot slice
-/// decoder and the incremental [`crate::stream`] decoder share the
-/// Huffman machinery. `peek15`/`consume` are the table-decoder fast
-/// path: peek up to [`MAX_BITS`] bits without consuming (fewer only at
-/// end of input), then consume exactly the decoded code length.
-pub(crate) trait Bits {
-    /// Reads `n` bits (0..=25), LSB-first.
-    fn bits(&mut self, n: u32) -> Result<u32, InflateError>;
-    /// Reads a single bit.
-    fn bit(&mut self) -> Result<u32, InflateError> {
-        self.bits(1)
-    }
-    /// Buffers and returns up to 15 unconsumed bits plus the count
-    /// actually available (short only when the input is exhausted).
-    fn peek15(&mut self) -> (u32, u32);
-    /// Discards `n` previously peeked bits.
-    fn consume(&mut self, n: u32);
-}
-
-struct BitReader<'a> {
-    data: &'a [u8],
-    /// Next unread byte.
-    pos: usize,
-    /// Bit accumulator (LSB-first, as DEFLATE packs them).
-    bitbuf: u32,
-    /// Number of valid bits in `bitbuf`.
-    bitcnt: u32,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8], pos: usize) -> Self {
-        Self {
-            data,
-            pos,
-            bitbuf: 0,
-            bitcnt: 0,
-        }
-    }
-
-    /// Reads `n` bits (0..=25), LSB-first.
-    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
-        while self.bitcnt < n {
-            let byte = *self.data.get(self.pos).ok_or(InflateError::UnexpectedEof)?;
-            self.bitbuf |= (byte as u32) << self.bitcnt;
-            self.bitcnt += 8;
-            self.pos += 1;
-        }
-        let out = self.bitbuf & ((1u32 << n) - 1);
-        self.bitbuf >>= n;
-        self.bitcnt -= n;
-        Ok(out)
-    }
-
-    /// Reads a single bit.
-    fn bit(&mut self) -> Result<u32, InflateError> {
-        self.bits(1)
-    }
-
-    /// Discards buffered bits so the next read is byte-aligned
-    /// (stored-block headers and the gzip trailer are byte-aligned).
-    /// `peek15` may have buffered whole bytes ahead of the bit cursor;
-    /// those are rewound into the slice, not discarded.
-    fn align(&mut self) {
-        self.pos -= (self.bitcnt / 8) as usize;
-        self.bitbuf = 0;
-        self.bitcnt = 0;
-    }
-
-    /// Byte offset of the next unread byte (only meaningful when
-    /// aligned).
-    fn byte_pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Copies `len` raw bytes (stored block payload).
-    fn bytes(&mut self, len: usize, out: &mut Vec<u8>) -> Result<(), InflateError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or(InflateError::UnexpectedEof)?;
-        let src = self
-            .data
-            .get(self.pos..end)
-            .ok_or(InflateError::UnexpectedEof)?;
-        out.extend_from_slice(src);
-        self.pos = end;
-        Ok(())
-    }
-}
-
-impl Bits for BitReader<'_> {
-    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
-        BitReader::bits(self, n)
-    }
-
-    fn peek15(&mut self) -> (u32, u32) {
-        while self.bitcnt < MAX_BITS as u32 {
-            match self.data.get(self.pos) {
-                Some(&b) => {
-                    self.bitbuf |= (b as u32) << self.bitcnt;
-                    self.bitcnt += 8;
-                    self.pos += 1;
-                }
-                None => break,
-            }
-        }
-        (self.bitbuf, self.bitcnt)
-    }
-
-    fn consume(&mut self, n: u32) {
-        debug_assert!(n <= self.bitcnt);
-        self.bitbuf >>= n;
-        self.bitcnt -= n;
-    }
-}
-
 // --- Canonical Huffman tables -------------------------------------------
 
 /// Per-length symbol counts plus symbols in canonical order (puff.c
-/// layout). This is the compact *reference* form: [`Huffman::decode`]
-/// resolves one bit at a time and is kept for the small code-length
-/// alphabet and as the behavioral oracle for [`LutHuffman`], the
-/// two-level table built from it that the block-decode hot loop uses.
-pub(crate) struct Huffman {
+/// layout): a validated code, which [`LutHuffman::new`] expands into
+/// the decode tables.
+struct Huffman {
     count: [u16; MAX_BITS + 1],
     symbol: Vec<u16>,
 }
@@ -331,7 +175,7 @@ impl Huffman {
     /// Builds the canonical table from per-symbol code lengths
     /// (`lengths[s]` = bits for symbol `s`, 0 = unused). Rejects
     /// oversubscribed sets; incomplete sets are legal.
-    pub(crate) fn new(lengths: &[u8]) -> Result<Self, InflateError> {
+    fn new(lengths: &[u8]) -> Result<Self, InflateError> {
         let mut count = [0u16; MAX_BITS + 1];
         for &len in lengths {
             debug_assert!((len as usize) <= MAX_BITS);
@@ -360,24 +204,6 @@ impl Huffman {
             }
         }
         Ok(Self { count, symbol })
-    }
-
-    /// Decodes one symbol, consuming 1..=15 bits.
-    fn decode<B: Bits + ?Sized>(&self, br: &mut B) -> Result<u16, InflateError> {
-        let mut code: u32 = 0; // code of `len` bits so far
-        let mut first: u32 = 0; // first code of this length
-        let mut index: usize = 0; // index of first symbol of this length
-        for len in 1..=MAX_BITS {
-            code |= br.bit()?;
-            let cnt = self.count[len] as u32;
-            if code < first + cnt {
-                return Ok(self.symbol[index + (code - first) as usize]);
-            }
-            index += cnt as usize;
-            first = (first + cnt) << 1;
-            code <<= 1;
-        }
-        Err(InflateError::InvalidCode)
     }
 }
 
@@ -412,12 +238,13 @@ pub(crate) struct LutHuffman {
 }
 
 impl LutHuffman {
-    /// Builds the table set. Infallible: `h` was already validated as
-    /// not oversubscribed, and incomplete codes simply leave slots 0.
-    pub(crate) fn new(h: &Huffman) -> Self {
-        // Enumerate (symbol, length, canonical code) the same way
-        // `Huffman::decode` walks lengths: codes of length L occupy
-        // [first_L, first_L + count_L) in canonical symbol order.
+    /// Builds the table set for per-symbol code `lengths` (0 = unused).
+    /// Rejects oversubscribed sets; an incomplete set leaves the slots
+    /// no code reaches at 0.
+    pub(crate) fn new(lengths: &[u8]) -> Result<Self, InflateError> {
+        let h = Huffman::new(lengths)?;
+        // Enumerate (symbol, length, canonical code): codes of length L
+        // occupy [first_L, first_L + count_L) in canonical symbol order.
         let mut entries: Vec<(u16, u32, u32)> = Vec::with_capacity(h.symbol.len());
         let mut first: u32 = 0;
         let mut index: usize = 0;
@@ -473,15 +300,15 @@ impl LutHuffman {
                 }
             }
         }
-        Self { table }
+        Ok(Self { table })
     }
 
     /// Resolves one symbol from `avail` peeked wire bits in `v`
     /// (zero-padded above `avail`). Returns the symbol and the number
-    /// of bits to consume. Mirrors `Huffman::decode` error semantics:
-    /// a pattern matching no code is [`InflateError::InvalidCode`]
-    /// when 15 real bits were available, otherwise the input ended
-    /// mid-code and it is [`InflateError::UnexpectedEof`].
+    /// of bits to consume. A pattern matching no code is
+    /// [`InflateError::InvalidCode`] when 15 real bits were available;
+    /// otherwise the input ended mid-code and it is
+    /// [`InflateError::UnexpectedEof`].
     pub(crate) fn lookup(&self, v: u32, avail: u32) -> Result<(u16, u32), InflateError> {
         let mut e = self.table[(v & PRIMARY_MASK) as usize];
         if e & SUB_FLAG != 0 {
@@ -498,15 +325,6 @@ impl LutHuffman {
             });
         }
         Ok(((e & 0xFFFF) as u16, len))
-    }
-
-    /// Decodes one symbol from a [`Bits`] source (peek, table probe,
-    /// consume).
-    pub(crate) fn decode<B: Bits + ?Sized>(&self, br: &mut B) -> Result<u16, InflateError> {
-        let (v, avail) = br.peek15();
-        let (sym, len) = self.lookup(v, avail)?;
-        br.consume(len);
-        Ok(sym)
     }
 }
 
@@ -532,51 +350,8 @@ const CLEN_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
-/// Decodes the shared literal/length + distance loop of compressed
-/// blocks into `out`, through the two-level lookup tables.
-fn codes(
-    br: &mut BitReader<'_>,
-    litlen: &Huffman,
-    dist: &Huffman,
-    out: &mut Vec<u8>,
-) -> Result<(), InflateError> {
-    let lit_lut = LutHuffman::new(litlen);
-    let dist_lut = LutHuffman::new(dist);
-    loop {
-        let sym = lit_lut.decode(br)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let idx = (sym - 257) as usize;
-                let len = LEN_BASE[idx] as usize + br.bits(LEN_EXTRA[idx] as u32)? as usize;
-                let dsym = dist_lut.decode(br)?;
-                if dsym >= 30 {
-                    return Err(InflateError::InvalidSymbol(dsym));
-                }
-                let didx = dsym as usize;
-                let d = DIST_BASE[didx] as usize + br.bits(DIST_EXTRA[didx] as u32)? as usize;
-                if d > out.len() {
-                    return Err(InflateError::DistanceTooFar {
-                        dist: d,
-                        have: out.len(),
-                    });
-                }
-                // Overlapping copy: byte-by-byte is required when
-                // `len > d` (run-length style references).
-                let start = out.len() - d;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-            _ => return Err(InflateError::InvalidSymbol(sym)),
-        }
-    }
-}
-
-/// Fixed-Huffman tables (RFC 1951 §3.2.6).
-pub(crate) fn fixed_tables() -> (Huffman, Huffman) {
+/// Fixed-Huffman decode tables (RFC 1951 §3.2.6).
+pub(crate) fn fixed_tables() -> (LutHuffman, LutHuffman) {
     let mut lit = [0u8; MAX_LIT_CODES];
     for (s, l) in lit.iter_mut().enumerate() {
         *l = match s {
@@ -588,13 +363,17 @@ pub(crate) fn fixed_tables() -> (Huffman, Huffman) {
     }
     let dist = [5u8; MAX_DIST_CODES];
     // Fixed lengths are complete by construction; new() cannot fail.
-    (Huffman::new(&lit).unwrap(), Huffman::new(&dist).unwrap())
+    (
+        LutHuffman::new(&lit).unwrap(),
+        LutHuffman::new(&dist).unwrap(),
+    )
 }
 
-/// Reads the dynamic-block table definition (RFC 1951 §3.2.7).
-pub(crate) fn dynamic_tables<B: Bits + ?Sized>(
-    br: &mut B,
-) -> Result<(Huffman, Huffman), InflateError> {
+/// Reads a dynamic block's table definition (RFC 1951 §3.2.7) and
+/// returns its literal/length and distance decode tables.
+pub(crate) fn dynamic_tables<R: Read>(
+    br: &mut GzipStreamReader<R>,
+) -> Result<(LutHuffman, LutHuffman), InflateError> {
     let hlit = br.bits(5)? as usize + 257;
     let hdist = br.bits(5)? as usize + 1;
     let hclen = br.bits(4)? as usize + 4;
@@ -605,13 +384,13 @@ pub(crate) fn dynamic_tables<B: Bits + ?Sized>(
     for &ord in CLEN_ORDER.iter().take(hclen) {
         clen_lengths[ord] = br.bits(3)? as u8;
     }
-    let clen = Huffman::new(&clen_lengths)?;
+    let clen = LutHuffman::new(&clen_lengths)?;
 
     let mut lengths = [0u8; MAX_LIT_CODES + MAX_DIST_CODES];
     let total = hlit + hdist;
     let mut i = 0usize;
     while i < total {
-        let sym = clen.decode(br)?;
+        let sym = br.decode(&clen)?;
         match sym {
             0..=15 => {
                 lengths[i] = sym as u8;
@@ -652,51 +431,10 @@ pub(crate) fn dynamic_tables<B: Bits + ?Sized>(
     if lengths[256] == 0 {
         return Err(InflateError::InvalidSymbol(256));
     }
-    let litlen = Huffman::new(&lengths[..hlit])?;
-    let dist = Huffman::new(&lengths[hlit..total])?;
-    Ok((litlen, dist))
-}
-
-/// Inflates one raw DEFLATE stream starting at the reader's position;
-/// on success the reader is left byte-aligned just past the stream.
-fn inflate_into(br: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), InflateError> {
-    loop {
-        let last = br.bit()? == 1;
-        match br.bits(2)? {
-            0 => {
-                // Stored: byte-align, LEN + !LEN header, raw copy.
-                br.align();
-                let mut hdr = Vec::with_capacity(4);
-                br.bytes(4, &mut hdr)?;
-                let len = u16::from_le_bytes([hdr[0], hdr[1]]);
-                let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
-                if len != !nlen {
-                    return Err(InflateError::StoredLengthMismatch);
-                }
-                br.bytes(len as usize, out)?;
-            }
-            1 => {
-                let (litlen, dist) = fixed_tables();
-                codes(br, &litlen, &dist, out)?;
-            }
-            2 => {
-                let (litlen, dist) = dynamic_tables(br)?;
-                codes(br, &litlen, &dist, out)?;
-            }
-            _ => return Err(InflateError::ReservedBlockType),
-        }
-        if last {
-            br.align();
-            return Ok(());
-        }
-    }
-}
-
-/// Decompresses a raw DEFLATE stream (no gzip framing, no checksum).
-pub fn inflate_raw(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
-    inflate_into(&mut BitReader::new(data, 0), &mut out)?;
-    Ok(out)
+    Ok((
+        LutHuffman::new(&lengths[..hlit])?,
+        LutHuffman::new(&lengths[hlit..total])?,
+    ))
 }
 
 // --- gzip member framing ------------------------------------------------
@@ -706,90 +444,22 @@ pub(crate) const FEXTRA: u8 = 1 << 2;
 pub(crate) const FNAME: u8 = 1 << 3;
 pub(crate) const FCOMMENT: u8 = 1 << 4;
 
-fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], InflateError> {
-    let end = pos.checked_add(n).ok_or(InflateError::UnexpectedEof)?;
-    let s = data.get(*pos..end).ok_or(InflateError::UnexpectedEof)?;
-    *pos = end;
-    Ok(s)
-}
-
-fn skip_zstr(data: &[u8], pos: &mut usize) -> Result<(), InflateError> {
-    while *take(data, pos, 1)?.first().unwrap() != 0 {}
-    Ok(())
-}
-
-/// Parses one gzip member header; returns the offset of the deflate
-/// payload.
-fn member_header(data: &[u8], mut pos: usize) -> Result<usize, InflateError> {
-    let magic = take(data, &mut pos, 2)?;
-    if magic != [0x1F, 0x8B] {
-        return Err(InflateError::BadMagic {
-            found: [magic[0], magic[1]],
-        });
-    }
-    let cm = take(data, &mut pos, 1)?[0];
-    if cm != 8 {
-        return Err(InflateError::UnsupportedMethod(cm));
-    }
-    let flg = take(data, &mut pos, 1)?[0];
-    if flg & 0b1110_0000 != 0 {
-        return Err(InflateError::ReservedFlags(flg));
-    }
-    take(data, &mut pos, 6)?; // MTIME(4) XFL(1) OS(1)
-    if flg & FEXTRA != 0 {
-        let xlen = take(data, &mut pos, 2)?;
-        let xlen = u16::from_le_bytes([xlen[0], xlen[1]]) as usize;
-        take(data, &mut pos, xlen)?;
-    }
-    if flg & FNAME != 0 {
-        skip_zstr(data, &mut pos)?;
-    }
-    if flg & FCOMMENT != 0 {
-        skip_zstr(data, &mut pos)?;
-    }
-    if flg & FHCRC != 0 {
-        take(data, &mut pos, 2)?;
-    }
-    Ok(pos)
-}
-
-/// Decompresses a gzip file: all members are inflated and
-/// concatenated; each member's CRC32 and ISIZE trailer is validated
-/// against the bytes actually produced.
+/// Decompresses a whole gzip file held in memory: every member is
+/// inflated and concatenated, and each member's CRC32 and ISIZE
+/// trailer is validated against the bytes it produced. This is
+/// [`GzipStreamReader`] read to the end.
 pub fn gunzip(data: &[u8]) -> Result<Vec<u8>, InflateError> {
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
-    let mut pos = 0usize;
-    loop {
-        let payload = member_header(data, pos)?;
-        let member_start = out.len();
-        let mut br = BitReader::new(data, payload);
-        inflate_into(&mut br, &mut out)?;
-        pos = br.byte_pos();
-        let trailer = take(data, &mut pos, 8)?;
-        let declared_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let declared_isize = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-        let member = &out[member_start..];
-        let actual_crc = crc32(member);
-        if declared_crc != actual_crc {
-            return Err(InflateError::CrcMismatch {
-                declared: declared_crc,
-                actual: actual_crc,
-            });
-        }
-        let actual_isize = member.len() as u32;
-        if declared_isize != actual_isize {
-            return Err(InflateError::IsizeMismatch {
-                declared: declared_isize,
-                actual: actual_isize,
-            });
-        }
-        if pos == data.len() {
-            return Ok(out);
-        }
-        if !is_gzip(&data[pos..]) {
-            return Err(InflateError::TrailingData { offset: pos });
-        }
-    }
+    let mut out = Vec::new();
+    GzipStreamReader::new(data)
+        .read_to_end(&mut out)
+        .map_err(|e| {
+            // Reading a slice cannot fail, so every error is a decode
+            // error the reader wrapped.
+            *e.into_inner()
+                .and_then(|inner| inner.downcast::<InflateError>().ok())
+                .expect("GzipStreamReader over a slice fails only with an InflateError")
+        })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -888,37 +558,57 @@ mod tests {
     }
 
     #[test]
+    fn one_stray_byte_after_a_member_is_trailing_data() {
+        let one = gzip_store(b"0123456789");
+        let mut two = gzip_store(b"first|");
+        two.extend_from_slice(&gzip_store(b"second"));
+        for (members, stray) in [(&one, b'j'), (&one, 0x1F), (&one, 0x00), (&two, b'x')] {
+            let mut z = members.clone();
+            z.push(stray);
+            assert_eq!(
+                gunzip(&z).unwrap_err(),
+                InflateError::TrailingData {
+                    offset: members.len()
+                },
+                "stray byte {stray:#04x}"
+            );
+        }
+    }
+
+    /// Frames a raw DEFLATE stream as a gzip member whose trailer
+    /// declares `plain`.
+    fn member(deflate: &[u8], plain: &[u8]) -> Vec<u8> {
+        let mut out = vec![0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255];
+        out.extend_from_slice(deflate);
+        out.extend_from_slice(&crc32(plain).to_le_bytes());
+        out.extend_from_slice(&(plain.len() as u32).to_le_bytes());
+        out
+    }
+
+    #[test]
     fn fixed_huffman_literals() {
-        // Hand-assembled fixed-Huffman member encoding "A" (0x41):
-        // header bits: BFINAL=1, BTYPE=01; literal 65 -> code 0x41+0x30
-        // = 0x71 (8 bits, MSB-first on the wire), then EOB (7 zeros).
-        // Easier to validate via inflate_raw of a known byte pattern
-        // produced by any zlib: "\x73\x04\x00" inflates to "A".
-        assert_eq!(inflate_raw(&[0x73, 0x04, 0x00]).unwrap(), b"A");
+        // zlib's raw fixed-Huffman encoding of "A".
+        assert_eq!(gunzip(&member(&[0x73, 0x04, 0x00], b"A")).unwrap(), b"A");
     }
 
     #[test]
     fn reserved_block_type_rejected() {
         // BFINAL=1, BTYPE=11.
         assert_eq!(
-            inflate_raw(&[0x07]).unwrap_err(),
+            gunzip(&member(&[0x07], b"")).unwrap_err(),
             InflateError::ReservedBlockType
         );
     }
 
     #[test]
     fn distance_too_far_rejected() {
-        // Fixed block: literal 'a', then a length-3 match at distance 4
-        // (only 1 byte produced) must be rejected, not panic.
-        // Assembled with a reference zlib: see golden tests for full
-        // coverage; here a manual stream: BFINAL=1 BTYPE=01,
-        // lit 'a' (0x61 -> code 0x91), len sym 257 (code 0000001),
-        // dist sym 3 (00011), EOB.
-        // Bit-exact assembly is brittle; instead corrupt a stored+match
-        // hybrid via the raw API using a known zlib output for "aaa"
-        // with its distance byte bumped. "\x4B\x4C\x04\x00" = "aaaa"?
-        // Validated in golden tests; here just ensure no panic path:
-        let r = inflate_raw(&[0x4B, 0x44, 0x02, 0x00]);
-        let _ = r; // any Result is fine — must not panic
+        // Hand-assembled fixed block: BFINAL=1 BTYPE=01, literal 'a'
+        // (code 10010001), length symbol 257 (length 3, code 0000001),
+        // distance symbol 3 (distance 4, code 00011), end of block.
+        // Only one byte precedes the match, so it must be rejected.
+        assert_eq!(
+            gunzip(&member(&[0x4B, 0x04, 0x62, 0x00], b"a")).unwrap_err(),
+            InflateError::DistanceTooFar { dist: 4, have: 1 }
+        );
     }
 }

@@ -12,16 +12,16 @@
 //! - [`generators`]: Erdős–Rényi, Barabási–Albert, Holme–Kim
 //!   (power-law + clustering), Watts–Strogatz, and random-tree-plus-
 //!   shortcuts, all steerable to an exact edge count;
-//! - [`inflate`]: a pure-Rust RFC 1951/1952 DEFLATE + gzip decoder
-//!   (the build has no registry, so `flate2` cannot be vendored);
-//! - [`loaders`]: SNAP / KONECT edge-list and label-sidecar parsing,
-//!   gzip-transparent, with typed [`LoadError`]s and per-dataset
-//!   filename manifests;
+//! - [`inflate`]: the RFC 1951/1952 DEFLATE + gzip format in pure
+//!   Rust (the build has no registry, so `flate2` cannot be vendored):
+//!   typed errors, Huffman decode tables, [`inflate::gunzip`];
+//! - [`loaders`]: SNAP / KONECT edge-list parsing, gzip-transparent,
+//!   with typed [`LoadError`]s and per-dataset filename manifests;
 //! - [`paper`]: the six named datasets — synthetic stand-ins with a
 //!   scale knob, plus [`PaperDataset::load`] /
 //!   [`PaperDataset::resolve`] for running on the real graphs;
-//! - [`stream`]: incremental gzip decompression behind `io::Read`
-//!   (constant-memory ingestion for the out-of-core pipeline).
+//! - [`stream`]: the one gzip decoder, streaming behind `io::Read` in
+//!   constant memory, and the openers every edge list goes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,29 +3,22 @@
 //! SNAP distributes graphs as `#`-commented edge lists (often with a
 //! `# Nodes: N Edges: M` banner); KONECT ships `out.<code>` files with
 //! `%`-comment meta lines (`% <edges> <nodes> <nodes>`) and an optional
-//! `meta.<code>` key-value sidecar. Both may be gzipped. This module
-//! reads all of those shapes through one pipeline:
-//!
-//! 1. read the file; if it starts with the gzip magic (or however it
-//!    is named), decompress with the pure-Rust [`crate::inflate`]
-//!    decoder — CRC32/ISIZE validated;
-//! 2. require UTF-8 (typed error, not a panic);
-//! 3. parse with the header-aware reader in [`sp_graph::io`]
-//!    (separator- and line-ending-tolerant, 0-/1-based ids compacted);
-//! 4. merge counts from a KONECT `meta.*` sidecar when the edge file
-//!    itself declared none;
-//! 5. optionally enforce declared counts ([`LoadError::SizeMismatch`]).
-//!
-//! Node-label sidecars (BlogCatalog `group-edges.csv`, PPI label
-//! files) load through [`load_node_labels`], returning original-id →
-//! label-set maps.
+//! `meta.<code>` key-value sidecar. Both may be gzipped. Every source,
+//! a file or bytes in memory, takes one path: [`text_stream`] inflates
+//! gzip by magic sniff through the streaming decoder, and
+//! [`read_edge_list_doc`] parses the lines as they arrive (separator-
+//! and line-ending-tolerant, 0-/1-based ids compacted, invalid UTF-8
+//! a typed error at its byte offset). For a KONECT `out.*` file a
+//! `meta.*` sidecar supplies the counts the file itself does not
+//! declare, and declared counts can be enforced
+//! ([`LoadError::SizeMismatch`]).
 
-use crate::inflate::{self, InflateError};
+use crate::inflate::InflateError;
+use crate::stream::{open_edge_stream, text_stream};
 use sp_graph::io::{read_edge_list_doc, EdgeListDoc, IoError, ReadOptions};
-use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
-use std::io::Cursor;
+use std::fs::File;
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// Typed failure of any dataset-loading step. Loaders never panic on
@@ -115,21 +108,25 @@ impl fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 impl From<std::io::Error> for LoadError {
+    /// An `io::Error` whose source is an [`InflateError`] (how the
+    /// streaming gzip decoder reports a malformed stream) becomes
+    /// [`LoadError::Gzip`]; any other is [`LoadError::Io`].
     fn from(e: std::io::Error) -> Self {
-        LoadError::Io(e)
-    }
-}
-
-impl From<InflateError> for LoadError {
-    fn from(e: InflateError) -> Self {
-        LoadError::Gzip(e)
+        match e
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<InflateError>())
+        {
+            Some(ge) => LoadError::Gzip(ge.clone()),
+            None => LoadError::Io(e),
+        }
     }
 }
 
 impl From<IoError> for LoadError {
     fn from(e: IoError) -> Self {
         match e {
-            IoError::Io(e) => LoadError::Io(e),
+            IoError::Io(e) => e.into(),
+            IoError::NonUtf8 { valid_up_to } => LoadError::NonUtf8 { valid_up_to },
             IoError::Parse { line, content } => LoadError::Parse { line, content },
             IoError::SelfLoop { line } => LoadError::SelfLoop { line },
             IoError::DuplicateEdge { line } => LoadError::DuplicateEdge { line },
@@ -147,31 +144,10 @@ impl From<IoError> for LoadError {
     }
 }
 
-/// Decompresses `bytes` when they carry the gzip magic; otherwise
-/// returns them unchanged (borrowed — a DBLP-scale plain-text file is
-/// not copied a second time). Detection is by content, not file name,
-/// so a miscompressed `.txt` or an uncompressed `.gz` both do the
-/// right thing.
-pub fn decode_maybe_gzip(bytes: &[u8]) -> Result<Cow<'_, [u8]>, LoadError> {
-    if inflate::is_gzip(bytes) {
-        Ok(Cow::Owned(inflate::gunzip(bytes)?))
-    } else {
-        Ok(Cow::Borrowed(bytes))
-    }
-}
-
-fn utf8(bytes: &[u8]) -> Result<&str, LoadError> {
-    std::str::from_utf8(bytes).map_err(|e| LoadError::NonUtf8 {
-        valid_up_to: e.valid_up_to(),
-    })
-}
-
 /// Parses an edge list from in-memory bytes (gzipped or plain),
 /// honouring `opts`.
 pub fn load_edge_list_bytes(bytes: &[u8], opts: ReadOptions) -> Result<EdgeListDoc, LoadError> {
-    let plain = decode_maybe_gzip(bytes)?;
-    let text = utf8(&plain)?;
-    Ok(read_edge_list_doc(Cursor::new(text.as_bytes()), opts)?)
+    Ok(read_edge_list_doc(text_stream(bytes)?, opts)?)
 }
 
 /// KONECT sidecar for `out.<code>[.gz]`: the sibling `meta.<code>`.
@@ -206,29 +182,6 @@ fn parse_meta_counts(text: &str) -> (Option<u64>, Option<u64>) {
     (nodes, edges)
 }
 
-/// Recovers the typed loader error from a streamed read failure: the
-/// incremental gzip reader wraps [`InflateError`]s in `io::Error`, and
-/// line iteration reports invalid UTF-8 as `InvalidData`.
-fn retype_stream_error(e: IoError) -> LoadError {
-    match e {
-        IoError::Io(ioe) => {
-            if let Some(ge) = ioe
-                .get_ref()
-                .and_then(|inner| inner.downcast_ref::<InflateError>())
-            {
-                return LoadError::Gzip(ge.clone());
-            }
-            if ioe.kind() == std::io::ErrorKind::InvalidData && ioe.to_string().contains("UTF-8") {
-                // Streamed reads cannot report the byte offset of the
-                // first invalid sequence; 0 marks "unknown".
-                return LoadError::NonUtf8 { valid_up_to: 0 };
-            }
-            LoadError::Io(ioe)
-        }
-        other => other.into(),
-    }
-}
-
 /// Loads an edge-list file from disk (gzip-transparent). For KONECT
 /// `out.*` files, a sibling `meta.*` sidecar supplies declared counts
 /// when the edge file itself carries none. Declared-count enforcement
@@ -240,17 +193,19 @@ fn retype_stream_error(e: IoError) -> LoadError {
 /// so resident memory is the parsed graph plus fixed-size buffers —
 /// never the raw or decompressed file.
 pub fn load_edge_list_path(path: &Path, opts: ReadOptions) -> Result<EdgeListDoc, LoadError> {
-    let reader = crate::stream::open_edge_stream(path)?;
     let parse_opts = ReadOptions {
         enforce_declared_counts: false,
         ..opts
     };
-    let mut doc = read_edge_list_doc(reader, parse_opts).map_err(retype_stream_error)?;
+    let mut doc = read_edge_list_doc(open_edge_stream(path)?, parse_opts)?;
     if doc.declared_nodes.is_none() || doc.declared_edges.is_none() {
         if let Some(meta) = konect_meta_sidecar(path) {
-            let meta_bytes = std::fs::read(&meta)?;
-            let plain = decode_maybe_gzip(&meta_bytes)?;
-            let (n, m) = parse_meta_counts(utf8(&plain)?);
+            let mut bytes = Vec::new();
+            text_stream(BufReader::new(File::open(&meta)?))?.read_to_end(&mut bytes)?;
+            let text = std::str::from_utf8(&bytes).map_err(|e| LoadError::NonUtf8 {
+                valid_up_to: e.valid_up_to(),
+            })?;
+            let (n, m) = parse_meta_counts(text);
             doc.declared_nodes = doc.declared_nodes.or(n);
             doc.declared_edges = doc.declared_edges.or(m);
         }
@@ -259,47 +214,6 @@ pub fn load_edge_list_path(path: &Path, opts: ReadOptions) -> Result<EdgeListDoc
         doc.check_declared_counts()?;
     }
     Ok(doc)
-}
-
-/// Parses a node-label sidecar from in-memory bytes (gzipped or
-/// plain): one `node<sep>label` pair per line (`#`/`%` comments
-/// allowed, the same separators as edge lists), accumulating multi-
-/// label nodes. Keys are *original* ids — join against
-/// [`EdgeListDoc::id_map`] to reach dense ids.
-pub fn load_node_labels_bytes(bytes: &[u8]) -> Result<HashMap<u64, Vec<u32>>, LoadError> {
-    let plain = decode_maybe_gzip(bytes)?;
-    let text = utf8(&plain)?;
-    let mut labels: HashMap<u64, Vec<u32>> = HashMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split([' ', '\t', ',']).filter(|s| !s.is_empty());
-        let pair = (
-            parts.next().and_then(|t| t.parse::<u64>().ok()),
-            parts.next().and_then(|t| t.parse::<u32>().ok()),
-        );
-        let (Some(node), Some(label)) = pair else {
-            return Err(LoadError::Parse {
-                line: lineno + 1,
-                content: trimmed.to_string(),
-            });
-        };
-        let entry = labels.entry(node).or_default();
-        if !entry.contains(&label) {
-            entry.push(label);
-        }
-    }
-    Ok(labels)
-}
-
-/// Loads a node-label sidecar file (gzip-transparent); see
-/// [`load_node_labels_bytes`].
-pub fn load_node_labels(path: &Path) -> Result<HashMap<u64, Vec<u32>>, LoadError> {
-    sp_fault::inject(sp_fault::sites::DATASET_READ).map_err(std::io::Error::from)?;
-    let bytes = std::fs::read(path)?;
-    load_node_labels_bytes(&bytes)
 }
 
 /// What a paper dataset looks like on disk: the filenames it is
@@ -312,9 +226,6 @@ pub struct DatasetManifest {
     /// also tried with a `.gz` suffix and inside a lower-cased
     /// `<name>/` subdirectory of the data dir.
     pub candidates: &'static [&'static str],
-    /// Node-label sidecar candidates (empty when the dataset has no
-    /// published labels).
-    pub label_candidates: &'static [&'static str],
     /// Published `|V|` (for deviation reporting, not enforcement —
     /// mirrors vary slightly in preprocessing).
     pub expected_nodes: usize,
@@ -325,11 +236,11 @@ pub struct DatasetManifest {
 impl DatasetManifest {
     /// All paths that will be probed for this dataset under `dir`, in
     /// order.
-    pub fn probe_paths(&self, dir: &Path, names: &[&str]) -> Vec<PathBuf> {
+    pub fn probe_paths(&self, dir: &Path) -> Vec<PathBuf> {
         let sub = self.name.to_ascii_lowercase();
         let mut out = Vec::new();
         for base in [dir.to_path_buf(), dir.join(&sub)] {
-            for name in names {
+            for name in self.candidates {
                 out.push(base.join(name));
                 out.push(base.join(format!("{name}.gz")));
             }
@@ -339,16 +250,7 @@ impl DatasetManifest {
 
     /// First existing edge-list candidate under `dir`, if any.
     pub fn locate(&self, dir: &Path) -> Option<PathBuf> {
-        self.probe_paths(dir, self.candidates)
-            .into_iter()
-            .find(|p| p.is_file())
-    }
-
-    /// First existing label sidecar under `dir`, if any.
-    pub fn locate_labels(&self, dir: &Path) -> Option<PathBuf> {
-        self.probe_paths(dir, self.label_candidates)
-            .into_iter()
-            .find(|p| p.is_file())
+        self.probe_paths(dir).into_iter().find(|p| p.is_file())
     }
 }
 
@@ -390,24 +292,5 @@ mod tests {
         assert_eq!((n, m), (Some(10), Some(20)));
         let (n, m) = parse_meta_counts("category: Social\n");
         assert_eq!((n, m), (None, None));
-    }
-
-    #[test]
-    fn labels_accumulate_multi_membership() {
-        let labels = load_node_labels_bytes(b"# node,group\n1,3\n1,5\n2,3\n").unwrap();
-        assert_eq!(labels[&1], vec![3, 5]);
-        assert_eq!(labels[&2], vec![3]);
-    }
-
-    #[test]
-    fn labels_parse_error_is_typed() {
-        let err = load_node_labels_bytes(b"1,a\n").unwrap_err();
-        assert!(matches!(err, LoadError::Parse { line: 1, .. }));
-    }
-
-    #[test]
-    fn gzipped_labels_load() {
-        let labels = load_node_labels_bytes(&gzip_store(b"7\t1\n8\t2\n")).unwrap();
-        assert_eq!(labels.len(), 2);
     }
 }

@@ -138,11 +138,7 @@ impl PaperDataset {
     /// published size for deviation reporting.
     pub fn manifest(&self) -> DatasetManifest {
         let (expected_nodes, expected_edges) = self.published_size();
-        let (name, candidates, label_candidates): (
-            _,
-            &'static [&'static str],
-            &'static [&'static str],
-        ) = match self {
+        let (name, candidates): (_, &'static [&'static str]) = match self {
             PaperDataset::Chameleon => (
                 "Chameleon",
                 &[
@@ -152,12 +148,10 @@ impl PaperDataset {
                     "chameleon.txt",
                     "out.chameleon",
                 ],
-                &[],
             ),
             PaperDataset::Ppi => (
                 "PPI",
                 &["out.maayan-vidal", "ppi.edges", "ppi.txt", "ppi_edges.csv"],
-                &["ppi_labels.txt", "ppi-class_map.csv", "labels.txt"],
             ),
             PaperDataset::Power => (
                 "Power",
@@ -167,7 +161,6 @@ impl PaperDataset {
                     "power.txt",
                     "uspowergrid.txt",
                 ],
-                &[],
             ),
             PaperDataset::Arxiv => (
                 "Arxiv",
@@ -178,7 +171,6 @@ impl PaperDataset {
                     "arxiv.edges",
                     "arxiv.txt",
                 ],
-                &[],
             ),
             PaperDataset::BlogCatalog => (
                 "BlogCatalog",
@@ -188,7 +180,6 @@ impl PaperDataset {
                     "blogcatalog.txt",
                     "edges.csv",
                 ],
-                &["group-edges.csv", "groups.csv", "blogcatalog_labels.txt"],
             ),
             PaperDataset::Dblp => (
                 "DBLP",
@@ -198,13 +189,11 @@ impl PaperDataset {
                     "dblp.edges",
                     "dblp.txt",
                 ],
-                &[],
             ),
         };
         DatasetManifest {
             name,
             candidates,
-            label_candidates,
             expected_nodes,
             expected_edges,
         }

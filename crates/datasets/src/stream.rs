@@ -1,29 +1,27 @@
-//! Incremental gzip decompression behind [`std::io::Read`].
+//! Incremental gzip decompression behind [`std::io::Read`], and the
+//! openers every edge list goes through.
 //!
-//! [`inflate::gunzip`](crate::inflate::gunzip) is a one-shot API: it
-//! needs the whole compressed file in memory and materializes the
-//! whole decompressed output before the first byte is parsed, so
-//! ingestion RSS scales with `|E|` twice over. [`GzipStreamReader`]
-//! replaces that for the loading path: it pulls compressed bytes from
-//! any inner reader in fixed-size chunks, inflates through the same
-//! two-level Huffman tables as the one-shot decoder, and retains only
-//! the 32 KiB LZ77 window plus a small staging buffer — constant
-//! memory regardless of file size. Multi-member files, CRC32 and
-//! ISIZE trailer validation, and the full typed
-//! [`crate::inflate::InflateError`] surface carry over;
-//! errors arrive as `io::Error` with the `InflateError` as source.
+//! [`GzipStreamReader`] is the crate's one DEFLATE decoder. It pulls
+//! compressed bytes from any inner reader in fixed-size chunks,
+//! inflates through the two-level Huffman tables of
+//! [`crate::inflate`], and retains only the 32 KiB LZ77 window plus a
+//! small staging buffer, so its memory is constant regardless of file
+//! size. Multi-member files, CRC32 and ISIZE trailer validation, and
+//! the full typed [`InflateError`] surface are covered; errors arrive
+//! as `io::Error` with the `InflateError` as source.
 //!
-//! [`open_edge_stream`] is the loader entry point: it sniffs the gzip
-//! magic and returns a buffered line-readable stream either way.
+//! [`text_stream`] sniffs the gzip magic and returns a line-readable
+//! stream either way; [`open_edge_stream`] applies it to a file.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
 
 use crate::inflate::{
-    crc32_step, dynamic_tables, fixed_tables, Bits, InflateError, LutHuffman, DIST_BASE,
-    DIST_EXTRA, FCOMMENT, FEXTRA, FHCRC, FNAME, LEN_BASE, LEN_EXTRA,
+    dynamic_tables, fixed_tables, is_gzip, InflateError, LutHuffman, DIST_BASE, DIST_EXTRA,
+    FCOMMENT, FEXTRA, FHCRC, FNAME, LEN_BASE, LEN_EXTRA,
 };
+use sp_parallel::crc32_step;
 
 /// LZ77 back-reference window size (RFC 1951 §2).
 const WINDOW: usize = 32 * 1024;
@@ -53,8 +51,8 @@ enum State {
     Stored { remaining: usize },
     /// Inside a fixed- or dynamic-Huffman block.
     InBlock {
-        litlen: Box<LutHuffman>,
-        dist: Box<LutHuffman>,
+        litlen: LutHuffman,
+        dist: LutHuffman,
     },
     /// Expecting the 8-byte CRC32 + ISIZE member trailer.
     Trailer,
@@ -73,8 +71,8 @@ pub struct GzipStreamReader<R: Read> {
     inner_eof: bool,
     /// Total compressed bytes consumed (for trailing-data offsets).
     in_count: u64,
-    /// An inner-reader failure observed inside `peek15`, surfaced on
-    /// the next fallible step.
+    /// An inner-reader failure observed while filling the bit
+    /// accumulator, surfaced on the next fallible step.
     io_error: Option<io::Error>,
     /// LSB-first bit accumulator over the compressed stream.
     bitbuf: u32,
@@ -179,7 +177,8 @@ impl<R: Read> GzipStreamReader<R> {
     }
 
     /// Converts a decode-level failure, preferring a stashed inner
-    /// I/O error (an EOF seen by `peek15` may really be a read error).
+    /// I/O error (an EOF seen while filling the bit accumulator may
+    /// really be a read error).
     fn lift(&mut self, e: InflateError) -> io::Error {
         match self.io_error.take() {
             Some(ioe) => ioe,
@@ -217,6 +216,45 @@ impl<R: Read> GzipStreamReader<R> {
         Ok(())
     }
 
+    /// Tops the bit accumulator up to at least `n` bits (`n` ≤ 25),
+    /// unless the input ends first or the inner reader fails; a failure
+    /// is stashed for [`Self::lift`].
+    fn fill(&mut self, n: u32) {
+        while self.bitcnt < n && self.io_error.is_none() {
+            match self.next_byte() {
+                Ok(Some(b)) => {
+                    self.bitbuf |= (b as u32) << self.bitcnt;
+                    self.bitcnt += 8;
+                }
+                Ok(None) => break,
+                Err(e) => self.io_error = Some(e),
+            }
+        }
+    }
+
+    /// Reads `n` bits (0..=25), LSB-first, as DEFLATE packs them.
+    pub(crate) fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
+        self.fill(n);
+        if self.bitcnt < n {
+            return Err(InflateError::UnexpectedEof);
+        }
+        let out = self.bitbuf & ((1u32 << n) - 1);
+        self.bitbuf >>= n;
+        self.bitcnt -= n;
+        Ok(out)
+    }
+
+    /// Decodes one Huffman symbol: buffers up to 15 bits (fewer only
+    /// at the end of the input), resolves them through `lut`, and
+    /// consumes exactly the code's length.
+    pub(crate) fn decode(&mut self, lut: &LutHuffman) -> Result<u16, InflateError> {
+        self.fill(15);
+        let (sym, len) = lut.lookup(self.bitbuf, self.bitcnt)?;
+        self.bitbuf >>= len;
+        self.bitcnt -= len;
+        Ok(sym)
+    }
+
     /// Parses one member header; `Ok(false)` is clean end-of-stream
     /// (EOF exactly at a member boundary, at least one member done).
     fn read_header(&mut self) -> io::Result<bool> {
@@ -225,7 +263,17 @@ impl<R: Read> GzipStreamReader<R> {
             None if self.members_done > 0 => return Ok(false),
             None => return Err(to_io(InflateError::UnexpectedEof)),
         };
-        let b1 = self.require_byte()?;
+        let b1 = match self.aligned_byte()? {
+            Some(b) => b,
+            // One stray byte after a complete member is trailing data,
+            // not a truncated header.
+            None if self.members_done > 0 => {
+                return Err(to_io(InflateError::TrailingData {
+                    offset: (self.in_count - 1) as usize,
+                }))
+            }
+            None => return Err(to_io(InflateError::UnexpectedEof)),
+        };
         if [b0, b1] != [0x1F, 0x8B] {
             let e = if self.members_done > 0 {
                 InflateError::TrailingData {
@@ -273,7 +321,7 @@ impl<R: Read> GzipStreamReader<R> {
 
     /// Reads one block header and transitions state.
     fn read_block_header(&mut self) -> io::Result<State> {
-        let last = self.bit().map_err(|e| self.lift(e))? == 1;
+        let last = self.bits(1).map_err(|e| self.lift(e))? == 1;
         let btype = self.bits(2).map_err(|e| self.lift(e))?;
         self.final_block = last;
         match btype {
@@ -292,19 +340,13 @@ impl<R: Read> GzipStreamReader<R> {
                     remaining: len as usize,
                 })
             }
-            1 => {
-                let (litlen, dist) = fixed_tables();
-                Ok(State::InBlock {
-                    litlen: Box::new(LutHuffman::new(&litlen)),
-                    dist: Box::new(LutHuffman::new(&dist)),
-                })
-            }
-            2 => {
-                let (litlen, dist) = dynamic_tables(self).map_err(|e| self.lift(e))?;
-                Ok(State::InBlock {
-                    litlen: Box::new(LutHuffman::new(&litlen)),
-                    dist: Box::new(LutHuffman::new(&dist)),
-                })
+            1 | 2 => {
+                let (litlen, dist) = if btype == 1 {
+                    fixed_tables()
+                } else {
+                    dynamic_tables(self).map_err(|e| self.lift(e))?
+                };
+                Ok(State::InBlock { litlen, dist })
             }
             _ => Err(to_io(InflateError::ReservedBlockType)),
         }
@@ -314,7 +356,7 @@ impl<R: Read> GzipStreamReader<R> {
     /// bytes are staged (`Ok(false)`).
     fn run_block(&mut self, litlen: &LutHuffman, dist: &LutHuffman) -> io::Result<bool> {
         while self.pending.len() < OUT_STEP {
-            let sym = litlen.decode(self).map_err(|e| self.lift(e))?;
+            let sym = self.decode(litlen).map_err(|e| self.lift(e))?;
             match sym {
                 0..=255 => self.push_byte(sym as u8),
                 256 => return Ok(true),
@@ -322,7 +364,7 @@ impl<R: Read> GzipStreamReader<R> {
                     let idx = (sym - 257) as usize;
                     let len = LEN_BASE[idx] as usize
                         + self.bits(LEN_EXTRA[idx] as u32).map_err(|e| self.lift(e))? as usize;
-                    let dsym = dist.decode(self).map_err(|e| self.lift(e))?;
+                    let dsym = self.decode(dist).map_err(|e| self.lift(e))?;
                     if dsym >= 30 {
                         return Err(to_io(InflateError::InvalidSymbol(dsym)));
                     }
@@ -414,51 +456,6 @@ impl<R: Read> GzipStreamReader<R> {
     }
 }
 
-impl<R: Read> Bits for GzipStreamReader<R> {
-    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
-        while self.bitcnt < n {
-            match self.next_byte() {
-                Ok(Some(b)) => {
-                    self.bitbuf |= (b as u32) << self.bitcnt;
-                    self.bitcnt += 8;
-                }
-                Ok(None) => return Err(InflateError::UnexpectedEof),
-                Err(e) => {
-                    self.io_error = Some(e);
-                    return Err(InflateError::UnexpectedEof);
-                }
-            }
-        }
-        let out = self.bitbuf & ((1u32 << n) - 1);
-        self.bitbuf >>= n;
-        self.bitcnt -= n;
-        Ok(out)
-    }
-
-    fn peek15(&mut self) -> (u32, u32) {
-        while self.bitcnt < 15 && self.io_error.is_none() {
-            match self.next_byte() {
-                Ok(Some(b)) => {
-                    self.bitbuf |= (b as u32) << self.bitcnt;
-                    self.bitcnt += 8;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.io_error = Some(e);
-                    break;
-                }
-            }
-        }
-        (self.bitbuf, self.bitcnt)
-    }
-
-    fn consume(&mut self, n: u32) {
-        debug_assert!(n <= self.bitcnt);
-        self.bitbuf >>= n;
-        self.bitcnt -= n;
-    }
-}
-
 impl<R: Read> Read for GzipStreamReader<R> {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
         if out.is_empty() {
@@ -484,26 +481,30 @@ impl<R: Read> Read for GzipStreamReader<R> {
     }
 }
 
-/// Opens `path` as a buffered, line-readable stream of decompressed
-/// bytes: gzip files (by magic sniff, not extension) stream through
-/// [`GzipStreamReader`], anything else streams as-is. Either way the
-/// memory held is a couple of fixed-size buffers, not the file.
-pub fn open_edge_stream(path: &Path) -> io::Result<Box<dyn BufRead>> {
-    sp_fault::inject(sp_fault::sites::DATASET_READ)?;
-    let file = File::open(path)?;
-    let mut raw = BufReader::new(file);
-    let head = raw.fill_buf()?;
-    if head.len() >= 2 && head[0] == 0x1F && head[1] == 0x8B {
+/// Wraps `raw` as a line-readable stream of decompressed bytes: input
+/// that starts with the gzip magic inflates through
+/// [`GzipStreamReader`], anything else passes through as-is. Detection
+/// is by content, not file name, so a gzipped `.txt` and an
+/// uncompressed `.gz` both load.
+pub fn text_stream<'a>(mut raw: impl BufRead + 'a) -> io::Result<Box<dyn BufRead + 'a>> {
+    if is_gzip(raw.fill_buf()?) {
         Ok(Box::new(BufReader::new(GzipStreamReader::new(raw))))
     } else {
         Ok(Box::new(raw))
     }
 }
 
+/// Opens `path` through [`text_stream`]: the memory held is a couple of
+/// fixed-size buffers, not the file.
+pub fn open_edge_stream(path: &Path) -> io::Result<Box<dyn BufRead>> {
+    sp_fault::inject(sp_fault::sites::DATASET_READ)?;
+    text_stream(BufReader::new(File::open(path)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflate::{gunzip, gzip_store};
+    use crate::inflate::gzip_store;
 
     fn read_all_chunked<R: Read>(mut r: R, chunk: usize) -> io::Result<Vec<u8>> {
         let mut out = Vec::new();
@@ -531,9 +532,10 @@ mod tests {
     fn multi_member_streams_identically() {
         let mut gz = gzip_store(b"alpha|");
         gz.extend_from_slice(&gzip_store(b"beta"));
-        let got = read_all_chunked(GzipStreamReader::new(&gz[..]), 3).unwrap();
-        assert_eq!(got, b"alpha|beta");
-        assert_eq!(got, gunzip(&gz).unwrap());
+        for chunk in [1, 3, 4096] {
+            let got = read_all_chunked(GzipStreamReader::new(&gz[..]), chunk).unwrap();
+            assert_eq!(got, b"alpha|beta", "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! a plain SNAP edge list and a gzipped KONECT `out.*` file with a
 //! `meta.*` sidecar, both driven through [`PaperDataset::load`].
 
+use sp_datasets::inflate::gzip_store;
 use sp_datasets::loaders::{load_edge_list_path, LoadError};
 use sp_datasets::PaperDataset;
 use sp_graph::io::ReadOptions;
@@ -76,6 +77,27 @@ fn integrity_mismatch_is_a_size_mismatch_error() {
             assert_eq!(actual, 18);
         }
         other => panic!("expected SizeMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_utf8_file_reports_its_byte_offset() {
+    // The second line starts at byte 4 with an invalid sequence, in a
+    // plain file and in a gzipped one alike.
+    let text = b"1 2\n\xFF\xFE 3\n";
+    let dir = std::env::temp_dir().join(format!("sp_fixture_utf8_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain = dir.join("bad_utf8.txt");
+    let zipped = dir.join("bad_utf8.txt.gz");
+    std::fs::write(&plain, text).unwrap();
+    std::fs::write(&zipped, gzip_store(text)).unwrap();
+    let errs = [&plain, &zipped].map(|p| load_edge_list_path(p, ReadOptions::default()));
+    std::fs::remove_dir_all(&dir).ok();
+    for err in errs {
+        assert!(
+            matches!(err, Err(LoadError::NonUtf8 { valid_up_to: 4 })),
+            "got {err:?}"
+        );
     }
 }
 

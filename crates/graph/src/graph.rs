@@ -87,7 +87,9 @@ impl Graph {
     }
 
     /// `edges` must already be canonical: `u < v`, sorted, deduplicated.
-    pub(crate) fn from_canonical_edges(num_nodes: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+    /// The graph keeps it without spare capacity.
+    pub(crate) fn from_canonical_edges(num_nodes: usize, mut edges: Vec<(NodeId, NodeId)>) -> Self {
+        edges.shrink_to_fit();
         let mut degree = vec![0usize; num_nodes];
         for &(u, v) in &edges {
             degree[u as usize] += 1;
@@ -218,9 +220,8 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// Heap bytes held by the adjacency arrays — what a
-    /// [`sp_mem::MemTracker`] entry for a resident graph should
-    /// account.
+    /// Heap bytes held by the adjacency arrays — what a byte-accounting
+    /// tracker entry for a resident graph should account.
     pub fn heap_bytes(&self) -> u64 {
         (self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.neighbors.capacity() * std::mem::size_of::<NodeId>()

@@ -20,7 +20,7 @@
 //! [`ReadOptions::enforce_declared_counts`] turns into an integrity
 //! check ([`IoError::SizeMismatch`]).
 
-use crate::graph::{Graph, GraphBuilder, NodeId};
+use crate::graph::{Graph, NodeId};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
@@ -30,6 +30,11 @@ use std::path::Path;
 pub enum IoError {
     /// Underlying I/O failure.
     Io(io::Error),
+    /// The text is not UTF-8.
+    NonUtf8 {
+        /// Bytes of valid UTF-8 before the offending byte.
+        valid_up_to: usize,
+    },
     /// A line that is neither a comment nor a valid `u v` pair.
     Parse {
         /// 1-based line number.
@@ -69,6 +74,9 @@ impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
+            IoError::NonUtf8 { valid_up_to } => {
+                write!(f, "not utf-8 text (first invalid byte at {valid_up_to})")
+            }
             IoError::Parse { line, content } => {
                 write!(f, "parse error at line {line}: {content:?}")
             }
@@ -224,9 +232,11 @@ fn scan_percent_header(body: &str, nodes: &mut Option<u64>, edges: &mut Option<u
 
 /// Parses an edge list from any reader, honouring `opts`; returns the
 /// graph together with the id map, header declarations, and cleaning
-/// statistics.
+/// statistics. Lines are read into one reused buffer, so invalid UTF-8
+/// is reported at its byte offset in the stream
+/// ([`IoError::NonUtf8`]).
 pub fn read_edge_list_doc<R: BufRead>(
-    reader: R,
+    mut reader: R,
     opts: ReadOptions,
 ) -> Result<EdgeListDoc, IoError> {
     let mut id_map: HashMap<u64, NodeId> = HashMap::new();
@@ -242,8 +252,20 @@ pub fn read_edge_list_doc<R: BufRead>(
         let next = id_map.len() as NodeId;
         *id_map.entry(raw).or_insert(next)
     };
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    let mut offset = 0usize;
+    let mut lineno = 0usize;
+    loop {
+        buf.clear();
+        let n = reader.read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            break;
+        }
+        let line = std::str::from_utf8(&buf).map_err(|e| IoError::NonUtf8 {
+            valid_up_to: offset + e.valid_up_to(),
+        })?;
+        offset += n;
+        lineno += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -267,7 +289,7 @@ pub fn read_edge_list_doc<R: BufRead>(
             (Some(a), Some(b)) => (a, b),
             _ => {
                 return Err(IoError::Parse {
-                    line: lineno + 1,
+                    line: lineno,
                     content: trimmed.to_string(),
                 })
             }
@@ -281,14 +303,14 @@ pub fn read_edge_list_doc<R: BufRead>(
                     continue;
                 }
                 return Err(IoError::Parse {
-                    line: lineno + 1,
+                    line: lineno,
                     content: trimmed.to_string(),
                 });
             }
         };
         if pa == pb {
             if opts.forbid_self_loops {
-                return Err(IoError::SelfLoop { line: lineno + 1 });
+                return Err(IoError::SelfLoop { line: lineno });
             }
             self_loops += 1;
             // Still intern the id: an isolated self-looping node is a
@@ -306,19 +328,18 @@ pub fn read_edge_list_doc<R: BufRead>(
         let key = if u < v { (u, v) } else { (v, u) };
         if !seen.insert(key) {
             if opts.forbid_duplicates {
-                return Err(IoError::DuplicateEdge { line: lineno + 1 });
+                return Err(IoError::DuplicateEdge { line: lineno });
             }
             duplicate_edges += 1;
             continue;
         }
         edges.push(key);
     }
-    let mut b = GraphBuilder::new(id_map.len());
-    for (u, v) in edges {
-        b.add_edge(u, v);
-    }
+    // `seen` already deduplicated the canonical keys; sorting makes
+    // them the CSR's edge list.
+    edges.sort_unstable();
     let doc = EdgeListDoc {
-        graph: b.build(),
+        graph: Graph::from_canonical_edges(id_map.len(), edges),
         id_map,
         declared_nodes,
         declared_edges,
@@ -338,14 +359,6 @@ pub fn read_edge_list_doc<R: BufRead>(
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Graph, HashMap<u64, NodeId>), IoError> {
     let doc = read_edge_list_doc(reader, ReadOptions::default())?;
     Ok((doc.graph, doc.id_map))
-}
-
-/// Reads an edge-list file from disk.
-pub fn read_edge_list_file<P: AsRef<Path>>(
-    path: P,
-) -> Result<(Graph, HashMap<u64, NodeId>), IoError> {
-    let f = std::fs::File::open(path)?;
-    read_edge_list(io::BufReader::new(f))
 }
 
 /// Writes the canonical edge list (`u v` per line, `u < v`).

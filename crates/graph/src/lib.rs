@@ -15,7 +15,5 @@
 pub mod algo;
 pub mod graph;
 pub mod io;
-pub mod streaming;
 
 pub use graph::{Graph, GraphBuilder, NodeId};
-pub use streaming::StreamingCsr;

@@ -43,9 +43,10 @@
 //! [`latest_valid_checkpoint`] skips torn or corrupt files, so resume
 //! falls back to the newest checkpoint that validates.
 
-use crate::{crc32, write_bytes_atomic_site, ModelError, TRAILER_LEN};
+use crate::{write_bytes_atomic_site, ModelError, TRAILER_LEN};
 use sp_graph::Graph;
 use sp_linalg::DenseMatrix;
+use sp_parallel::crc32;
 use sp_proximity::EdgeProximity;
 use sp_skipgram::trainer::TrainerState;
 use sp_skipgram::{SkipGramModel, TrainReport, Trainer};

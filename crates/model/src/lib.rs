@@ -48,6 +48,7 @@
 pub mod checkpoint;
 
 use sp_linalg::DenseMatrix;
+use sp_parallel::crc32;
 use sp_skipgram::SkipGramModel;
 use std::fmt;
 use std::path::Path;
@@ -569,39 +570,6 @@ pub(crate) fn write_bytes_atomic_site(
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE 802.3, the gzip polynomial) of `data` — the same
-/// checksum the dataset inflater validates, reused here so one
-/// well-tested primitive guards both ingestion and publication.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,12 +587,6 @@ mod tests {
     fn sample_skipgram() -> SkipGramModel {
         let mut rng = StdRng::seed_from_u64(9);
         SkipGramModel::new(17, 6, &mut rng)
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

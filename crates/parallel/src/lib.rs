@@ -4,7 +4,7 @@
 //! builders (row-partitioned SpGEMM and wedge enumeration), the
 //! walk-corpus generator, the IVF index build, and the bench harness's
 //! experiment sweeps, plus the workspace's one [`splitmix64`] counter
-//! hash.
+//! hash and its one [`crc32`] checksum.
 //!
 //! ## Determinism contract
 //!
@@ -56,6 +56,47 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+/// One CRC-32 step over the *raw* (pre-inversion) state, for callers
+/// that checksum incrementally: seed with `!0`, feed bytes, finish
+/// with `!state`.
+#[inline]
+pub fn crc32_step(state: u32, byte: u8) -> u32 {
+    CRC32_TABLE[((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8)
+}
+
+/// CRC-32 (IEEE 802.3, reflected) of `data`: the checksum in every
+/// gzip trailer the dataset decoder validates and in every `.spm` and
+/// `.spc` file the model crate writes.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c = crc32_step(c, b);
+    }
+    !c
 }
 
 /// Number of hardware threads available to this process (at least 1).
@@ -208,6 +249,12 @@ where
 mod tests {
     use super::*;
     use std::time::Instant;
+
+    #[test]
+    fn crc32_known_vectors() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
 
     #[test]
     fn par_map_preserves_order() {

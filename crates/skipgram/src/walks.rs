@@ -73,29 +73,6 @@ fn emit_window_pairs(walk: &[NodeId], window: usize, out: &mut Vec<(NodeId, Node
     }
 }
 
-/// Generates the full corpus of window co-occurrence pairs
-/// `(center, context)` (directed: context follows center in the walk,
-/// matching the forward window used by the analytic proximity).
-///
-/// Walks are drawn sequentially from the single `rng` stream; prefer
-/// [`corpus_pairs_seeded`] when the corpus must be reproducible
-/// independently of how the walks are scheduled.
-pub fn corpus_pairs<R: Rng + ?Sized>(
-    g: &Graph,
-    cfg: WalkConfig,
-    rng: &mut R,
-) -> Vec<(NodeId, NodeId)> {
-    assert!(cfg.window >= 1 && cfg.walk_length >= 1 && cfg.walks_per_node >= 1);
-    let mut pairs = Vec::new();
-    for start in 0..g.num_nodes() as NodeId {
-        for _ in 0..cfg.walks_per_node {
-            let walk = random_walk(g, start, cfg.walk_length, rng);
-            emit_window_pairs(&walk, cfg.window, &mut pairs);
-        }
-    }
-    pairs
-}
-
 /// The RNG that drives walk number `walk_index` of a seeded corpus:
 /// `SmallRng` seeded with `splitmix64(seed) ⊕ walk_index`.
 ///
@@ -111,12 +88,15 @@ pub fn walk_rng(seed: u64, walk_index: u64) -> SmallRng {
     SmallRng::seed_from_u64(splitmix64(seed) ^ walk_index)
 }
 
-/// Seeded, parallel variant of [`corpus_pairs`]: walk `w` of node `v`
-/// (walk index `v · walks_per_node + w`) is drawn from
-/// [`walk_rng`]`(seed, index)`, walks fan out over the worker pool, and
-/// pairs are concatenated in walk-index order — so for a fixed seed
-/// the corpus is byte-identical for every thread count (`None`
-/// resolves via [`sp_parallel::resolve_threads`]).
+/// Generates the full corpus of window co-occurrence pairs
+/// `(center, context)` (directed: context follows center in the walk,
+/// matching the forward window used by the analytic proximity).
+///
+/// Walk `w` of node `v` (walk index `v · walks_per_node + w`) is drawn
+/// from [`walk_rng`]`(seed, index)`, walks fan out over the worker
+/// pool, and pairs are concatenated in walk-index order — so for a
+/// fixed seed the corpus is byte-identical for every thread count
+/// (`None` resolves via [`sp_parallel::resolve_threads`]).
 pub fn corpus_pairs_seeded(
     g: &Graph,
     cfg: WalkConfig,
@@ -141,23 +121,11 @@ pub fn corpus_pairs_seeded(
 }
 
 /// Empirical walk-proximity matrix: row-normalised co-occurrence
-/// counts from a sampled corpus. As the corpus grows this converges
-/// to the analytic DeepWalk proximity with the same window (law of
-/// large numbers over walk transitions) — the property test that ties
-/// the sampled and analytic pipelines together.
-pub fn empirical_proximity<R: Rng + ?Sized>(g: &Graph, cfg: WalkConfig, rng: &mut R) -> CsrMatrix {
-    let n = g.num_nodes();
-    let mut b = CooBuilder::new(n, n);
-    for (u, v) in corpus_pairs(g, cfg, rng) {
-        b.push(u as usize, v as usize, 1.0);
-    }
-    let mut m = b.build();
-    m.normalize_rows();
-    m
-}
-
-/// Seeded, parallel variant of [`empirical_proximity`], built from
-/// [`corpus_pairs_seeded`]; inherits its thread-count invariance.
+/// counts from the corpus of [`corpus_pairs_seeded`], whose
+/// thread-count invariance it inherits. As the corpus grows this
+/// converges to the analytic DeepWalk proximity with the same window
+/// (law of large numbers over walk transitions) — the property test
+/// that ties the sampled and analytic pipelines together.
 pub fn empirical_proximity_seeded(
     g: &Graph,
     cfg: WalkConfig,
@@ -206,69 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn corpus_pairs_respect_window() {
-        let g = cycle(8);
-        let mut rng = StdRng::seed_from_u64(3);
-        let cfg = WalkConfig {
-            walks_per_node: 2,
-            walk_length: 10,
-            window: 2,
-        };
-        let pairs = corpus_pairs(&g, cfg, &mut rng);
-        assert!(!pairs.is_empty());
-        // On a cycle, window-2 forward pairs are at ring distance <= 2.
-        for (u, v) in pairs {
-            let d = (u as i64 - v as i64)
-                .rem_euclid(8)
-                .min((v as i64 - u as i64).rem_euclid(8));
-            assert!(d <= 2, "pair ({u},{v}) at ring distance {d}");
-        }
-    }
-
-    #[test]
-    fn empirical_matches_analytic_deepwalk_proximity() {
-        // The strongest cross-validation in the crate: the sampled
-        // corpus statistics must converge to (Â + Â²)/2.
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]);
-        let mut rng = StdRng::seed_from_u64(4);
-        let cfg = WalkConfig {
-            walks_per_node: 600,
-            walk_length: 30,
-            window: 2,
-        };
-        let empirical = empirical_proximity(&g, cfg, &mut rng);
-        let analytic =
-            sp_proximity::proximity_matrix(&g, sp_proximity::ProximityKind::DeepWalk { window: 2 });
-        for i in 0..6 {
-            for j in 0..6 {
-                let e = empirical.get(i, j);
-                let a = analytic.get(i, j);
-                assert!(
-                    (e - a).abs() < 0.02,
-                    "({i},{j}): empirical {e:.4} vs analytic {a:.4}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empirical_rows_are_stochastic() {
         let g = cycle(12);
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = empirical_proximity(&g, WalkConfig::default(), &mut rng);
+        let m = empirical_proximity_seeded(&g, WalkConfig::default(), 5, None);
         for i in 0..12 {
             let s = m.row_sum(i);
             assert!((s - 1.0).abs() < 1e-9, "row {i} sums to {s}");
         }
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let g = cycle(9);
-        let cfg = WalkConfig::default();
-        let a = corpus_pairs(&g, cfg, &mut StdRng::seed_from_u64(6));
-        let b = corpus_pairs(&g, cfg, &mut StdRng::seed_from_u64(6));
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -334,8 +246,8 @@ mod tests {
 
     #[test]
     fn seeded_empirical_proximity_converges_to_analytic() {
-        // The seeded/parallel corpus must converge to the same analytic
-        // (Â + Â²)/2 matrix the serial corpus does.
+        // The strongest cross-validation in the crate: the sampled
+        // corpus statistics must converge to (Â + Â²)/2.
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]);
         let cfg = WalkConfig {
             walks_per_node: 600,

@@ -13,7 +13,7 @@ use se_privgemb_suite::eval::{struc_equ, LinkSplit, PairSelection};
 
 fn main() {
     // 1. A synthetic scale-free graph (stand-in for any edge list you
-    //    might load with sp_graph::io::read_edge_list_file).
+    //    might load with sp_datasets::loaders::load_edge_list_path).
     let mut rng = StdRng::seed_from_u64(7);
     let g = generators::barabasi_albert(500, 5, &mut rng);
     println!(
