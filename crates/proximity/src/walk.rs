@@ -231,6 +231,74 @@ mod tests {
         assert_eq!(out.data, vec![1.0, 10.0, 3.0, 14.0]);
     }
 
+    /// A degree-6 hub on a ring of six, with a three-edge tail: row
+    /// degrees from 1 to 6, so `Â`'s entries range from 1/6 to 1.
+    fn hub_with_tail() -> Graph {
+        let spokes = (1..=6).map(|v| (0, v));
+        let ring = (1..=6).map(|v| (v, v % 6 + 1));
+        Graph::from_edges(10, spokes.chain(ring).chain([(6, 7), (7, 8), (8, 9)]))
+    }
+
+    /// `(nnz, FNV-1a over (row, col, value bits))` of a matrix.
+    fn digest(m: &CsrMatrix) -> (usize, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (i, j, v) in m.iter() {
+            for w in [i as u64, j as u64, v.to_bits()] {
+                for b in w.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        (m.nnz(), h)
+    }
+
+    /// `(kind, drop tolerance, pinned digest)`. The `Â` series keep
+    /// every base entry (all ≥ 1/6) and prune the intermediate powers'
+    /// entries below 0.1. Katz's powers count walks, so each entry is
+    /// ≥ 1: a tolerance above 1 empties its series at the base, and
+    /// one at or below 1 prunes nothing.
+    const PRUNED: [(ProximityKind, f64, (usize, u64)); 3] = [
+        (
+            ProximityKind::Katz {
+                beta: 0.5,
+                max_len: 3,
+            },
+            1.5,
+            (0, 0xcbf2_9ce4_8422_2325),
+        ),
+        (
+            ProximityKind::Ppr {
+                alpha: 0.15,
+                iters: 4,
+            },
+            0.1,
+            (66, 0x3dba_e0e5_1806_4b07),
+        ),
+        (
+            ProximityKind::DeepWalk { window: 3 },
+            0.1,
+            (66, 0x9c81_b744_b9d4_1682),
+        ),
+    ];
+
+    #[test]
+    fn explicit_tolerance_prunes_intermediate_powers() {
+        // auto_tol is 0 on every test graph, so this is the only test
+        // that drops an entry.
+        let g = hub_with_tail();
+        let n = g.num_nodes();
+        for (kind, drop_tol, golden) in PRUNED {
+            let exact = proximity_matrix(&g, kind);
+            let mut s = WalkSeries::new(&g, kind).unwrap();
+            assert_eq!(s.drop_tol, 0.0);
+            s.drop_tol = drop_tol;
+            let pruned = CsrMatrix::from_row_blocks(n, n, vec![s.rows(0..n)]);
+            assert_ne!(pruned, exact, "{kind:?}: nothing pruned");
+            assert_eq!(digest(&pruned), golden, "{kind:?}");
+        }
+    }
+
     #[test]
     fn katz_on_path_counts_walks() {
         let m = proximity_matrix(

@@ -135,6 +135,17 @@ const GOLDEN_DW: (usize, u64) = (1242, 0x838f656cef350957);
 const GOLDEN_DEG_LEN: usize = 114;
 const GOLDEN_DEG_HASH: u64 = 0xcf60a6f040830e5a;
 const GOLDEN_DEG_MIN_BITS: u64 = 0x3fbde27703a412ea;
+/// `(edge-weight digest, min_positive bits)` of `EdgeProximity` for
+/// each of `SPARSE_KINDS`, in order. Pinned on the banded edge path,
+/// which read every edge weight back out of sorted CSR bands.
+const GOLDEN_EDGE: [(u64, u64); 6] = [
+    (0xefac1e7aef697d66, 0x3fe0a8542a150a85),
+    (0xef787f97cef41bf4, 0x3fd4bd6cdbf4144d),
+    (0x2e01e8d6fa0948b4, 0x3fc39e0b57b92e46),
+    (0xdcf964b8e9559e52, 0x3f9af5b673a4b70b),
+    (0x3c748b9277890ead, 0x3fa2573a0eea45f5),
+    (0x942dc136505bc259, 0x3f984877d395747a),
+];
 // W_IN/W_OUT were re-pinned once when `sp_linalg::vector` moved to
 // lane-shaped reduction kernels (4 accumulators, fixed tree fold):
 // dot/norm2_sq now sum in a different — still deterministic —
@@ -224,6 +235,24 @@ fn proximity_threads1_matches_pre_refactor_goldens() {
         GOLDEN_DEG_HASH
     );
     assert_eq!(p.min_positive.to_bits(), GOLDEN_DEG_MIN_BITS);
+}
+
+#[test]
+fn edge_proximity_matches_goldens_at_1_and_4_threads() {
+    let g = golden_graph();
+    for (kind, (hash, min_bits)) in SPARSE_KINDS.iter().zip(GOLDEN_EDGE) {
+        for threads in [1, 4] {
+            let p = EdgeProximity::compute_threads(&g, *kind, Some(threads));
+            let at = format!("{} at threads={threads}", kind.label());
+            assert_eq!(p.weights.len(), GOLDEN_DEG_LEN, "edge count: {at}");
+            assert_eq!(
+                fnv1a64(p.weights.iter().map(|v| v.to_bits())),
+                hash,
+                "weights: {at}"
+            );
+            assert_eq!(p.min_positive.to_bits(), min_bits, "min_positive: {at}");
+        }
+    }
 }
 
 #[test]
