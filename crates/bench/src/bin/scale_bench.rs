@@ -2,14 +2,15 @@
 //!
 //! Drives the training pipeline end to end on a synthetic
 //! bounded-degree graph: CSR construction through [`GraphBuilder`],
-//! row-banded proximity ([`EdgeProximity::compute_threads`], which
-//! drains bands of [`BAND_ROWS`] rows), the degree alias table of
-//! Alg. 1's degree-proportional sampler, and the trainer, which
-//! regenerates every sampled subgraph on demand instead of holding
-//! `G_S`. Every resident and transient buffer is byte-accounted through
-//! one [`MemTracker`] — the "self-tracked peak RSS" reported here,
-//! chosen over `/proc` because byte accounting is deterministic enough
-//! to gate in CI.
+//! proximity edge weights ([`EdgeProximity::compute_threads`], which
+//! reads each row's edges off a per-worker scratch row and builds no
+//! band; the matrix builder's band of [`BAND_ROWS`] rows is measured
+//! beside it), the degree alias table of Alg. 1's degree-proportional
+//! sampler, and the trainer, which regenerates every sampled subgraph
+//! on demand instead of holding `G_S`. Every resident and transient
+//! buffer is byte-accounted through one [`MemTracker`] — the
+//! "self-tracked peak RSS" reported here, chosen over `/proc` because
+//! byte accounting is deterministic enough to gate in CI.
 //!
 //! Modes:
 //! - `--smoke` (CI): a 60k-node graph under a 64 MiB budget.
@@ -38,6 +39,7 @@ use sp_bench::scale::{
 };
 use sp_graph::{Graph, GraphBuilder};
 use sp_mem::MemTracker;
+use sp_parallel::resolve_threads;
 use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{EdgeProximity, ProximityKind};
 use sp_skipgram::{NegativeSampling, PerturbStrategy, Subgraph, TrainConfig, Trainer};
@@ -154,7 +156,7 @@ fn main() {
 
     // --- 2. Materialised-path size (len-based, no allocation). ---
     let t0 = Instant::now();
-    let (p_nnz, band_peak_bytes) = banded_nnz(&g);
+    let (p_nnz, band_peak_bytes, scratch_bytes) = banded_nnz(&g);
     let materialized_p_bytes = (p_nnz * (8 + 4) + (g.num_nodes() + 1) * 8) as u64;
     let materialized_gs_bytes = (g.num_edges() * (std::mem::size_of::<Subgraph>() + 3 * 4)) as u64;
     println!(
@@ -165,20 +167,24 @@ fn main() {
         t0.elapsed().as_millis()
     );
 
-    // --- 3. Row-banded proximity: the weights vector plus, while it
-    //        runs, the largest band. ---
+    // --- 3. Proximity edge weights: the weights vector plus, while it
+    //        runs, the per-chunk weight parts and one scratch row set
+    //        per worker. ---
     let t0 = Instant::now();
+    let workers = resolve_threads(None) as u64;
+    let edge_transient_bytes = (g.num_edges() * 8) as u64 + workers * scratch_bytes;
     tracker.add((g.num_edges() * 8) as u64);
-    tracker.add(band_peak_bytes);
+    tracker.add(edge_transient_bytes);
     let prox = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, None);
-    tracker.release(band_peak_bytes);
+    tracker.release(edge_transient_bytes);
     let proximity_ms = t0.elapsed().as_millis();
     let weights_bytes = (prox.len() * 8) as u64;
     println!(
-        "[proximity] {} edge weights in {} ms (bands of {} rows)",
+        "[proximity] {} edge weights in {} ms ({:.1} MiB transient over {} workers)",
         prox.len(),
         proximity_ms,
-        BAND_ROWS
+        mib(edge_transient_bytes),
+        workers
     );
 
     // --- 4. Training: the degree alias table Alg. 1's
@@ -328,11 +334,11 @@ fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
     g
 }
 
-/// Sweeps the common-neighbour row bands at the engine's height once
+/// Sweeps the common-neighbour matrix in bands of [`BAND_ROWS`] rows
 /// without keeping any of them: returns the total nnz the materialised
-/// P would hold and the largest single band's heap footprint (the
-/// banded path's transient high-water mark).
-fn banded_nnz(g: &Graph) -> (usize, u64) {
+/// P would hold, the largest single band's heap footprint (what the
+/// matrix builder holds per band), and one worker's scratch bytes.
+fn banded_nnz(g: &Graph) -> (usize, u64, u64) {
     let bands = RowBands::new(g, ProximityKind::CommonNeighbors)
         .expect("common neighbours is a matrix-backed measure");
     let n = bands.rows();
@@ -343,7 +349,7 @@ fn banded_nnz(g: &Graph) -> (usize, u64) {
         nnz += block.indices.len();
         peak = peak.max(block.heap_bytes());
     }
-    (nnz, peak)
+    (nnz, peak, bands.scratch_bytes())
 }
 
 fn write_json(

@@ -19,14 +19,12 @@
 //! - **degree** proximity (`SE-PrivGEmb_Deg`): `p_ij = d_i d_j / 2|E|`,
 //!   computable in `O(|V|)` as the paper's complexity analysis states.
 //!
-//! Every matrix-backed measure is built one way, in row bands
-//! ([`band::RowBands`]), with two consumption modes:
-//! - [`EdgeProximity`]: weights for the training edges only, plus the
-//!   `min(P)` constant — all the trainer needs — read off bands of
-//!   [`band::BAND_ROWS`] rows, so the whole matrix is never resident;
-//! - [`proximity_matrix`]: the full sparse matrix (all rows as one
-//!   band), for the Theorem 3 machinery and for analysis on
-//!   small/medium graphs.
+//! Every matrix-backed measure is built by one per-row kernel
+//! ([`band`]) with two finishes: [`EdgeProximity`] reads the training
+//! edges' weights and the `min(P)` constant — all the trainer needs —
+//! straight off each row's scratch, and [`proximity_matrix`] emits the
+//! full sparse matrix, for the Theorem 3 machinery and for analysis on
+//! small/medium graphs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -122,9 +120,8 @@ pub struct EdgeProximity {
 impl EdgeProximity {
     /// Computes mean-normalised edge weights for `kind` on `g`.
     ///
-    /// For matrix-backed measures this streams the matrix in row bands
-    /// and reads off the edge entries; for the degree family it is a
-    /// closed form in the degrees.
+    /// Matrix-backed measures read the edge entries off each row as the
+    /// row kernel builds it; the degree family is a closed form.
     pub fn compute(g: &Graph, kind: ProximityKind) -> Self {
         Self::compute_threads(g, kind, None)
     }
@@ -133,56 +130,17 @@ impl EdgeProximity {
     /// for the matrix-backed measures (`None` resolves via
     /// [`sp_parallel::resolve_threads`]).
     ///
-    /// The matrix is built through [`band::RowBands`] in bands of
-    /// [`band::BAND_ROWS`] rows; each band's edge weights and positive
-    /// entries are read before the band is dropped, so peak transient
-    /// memory is one band instead of the whole matrix. The result is
-    /// bit-identical to edge lookups into [`proximity_matrix_threads`]
-    /// for any thread count: rows are band-independent, the edge
-    /// weights are read in the same canonical edge order, and `min`
-    /// over positives is an exact order-free fold.
+    /// One pass of the row kernel's edge finish ([`band`]) over all
+    /// rows: no band or matrix is built, so the transient is the edge
+    /// weights plus one scratch row set per worker
+    /// ([`band::RowBands::scratch_bytes`]). Bit-identical to edge
+    /// lookups into [`proximity_matrix_threads`] for any thread count.
     pub fn compute_threads(g: &Graph, kind: ProximityKind, threads: Option<usize>) -> Self {
-        let Some(bands) = band::RowBands::new(g, kind) else {
-            let (weights, raw_min) = degree::degree_edge_weights(g);
-            return Self::from_raw(weights, raw_min, kind);
+        let (weights, raw_min) = match band::RowBands::new(g, kind) {
+            Some(rows) => rows.edge_weights(threads),
+            None => degree::degree_edge_weights(g),
         };
-        let n = bands.rows();
-        let edges = g.edges();
-        let mut weights = vec![0.0f64; edges.len()];
-        let mut raw_min: Option<f64> = None;
-        let mut cursor = 0usize; // next edge whose row is not yet seen
-        for start in (0..n).step_by(band::BAND_ROWS) {
-            let end = (start + band::BAND_ROWS).min(n);
-            let block = bands.band(start..end, threads);
-            // Exact running min over the band's positive entries:
-            // f64::min over positives is associative and exact, so the
-            // band-order fold equals CsrMatrix::min_positive bitwise.
-            for &v in &block.data {
-                if v > 0.0 {
-                    raw_min = Some(raw_min.map_or(v, |m| m.min(v)));
-                }
-            }
-            // Row offsets within the band, then advance the edge
-            // cursor through every canonical edge (u, v) with u in
-            // this band — edges are sorted by u, so this is one pass.
-            let mut offs = Vec::with_capacity(block.rows() + 1);
-            let mut at = 0usize;
-            offs.push(at);
-            for &c in &block.row_nnz {
-                at += c;
-                offs.push(at);
-            }
-            while cursor < edges.len() && (edges[cursor].0 as usize) < end {
-                let (u, v) = edges[cursor];
-                let r = u as usize - start;
-                let row_idx = &block.indices[offs[r]..offs[r + 1]];
-                if let Ok(pos) = row_idx.binary_search(&v) {
-                    weights[cursor] = block.data[offs[r] + pos];
-                }
-                cursor += 1;
-            }
-        }
-        Self::from_raw(weights, raw_min.unwrap_or(1.0), kind)
+        Self::from_raw(weights, raw_min, kind)
     }
 
     /// Mean-normalises raw weights (exposed for tests and custom
@@ -439,7 +397,7 @@ mod tests {
 
     #[test]
     fn compute_blocked_accounts_transient_bands() {
-        // The bands the edge path drains account for the whole matrix —
+        // The matrix builder's bands account for the whole matrix —
         // their entries add up to its nnz — while each one, resident
         // alone, holds less than the whole matrix.
         let g = ring_with_chords(4 * band::BAND_ROWS + 3);

@@ -11,21 +11,20 @@
 //!
 //! The enumeration is **row-partitioned**: row `i` of the output is
 //! `p_i· = Σ_{w ∈ N(i)} weight(w) · 𝟙[j ∈ N(w), j ≠ i]`, accumulated
-//! into a per-worker dense scratch row. Every row sums its wedge
+//! into a per-worker dense scratch row (`wedge_row`, the wedge half
+//! of the row kernel in [`crate::band`]). Every row sums its wedge
 //! centres in ascending-neighbour order regardless of how rows are
-//! chunked over threads, so the matrix is bit-identical for any thread
-//! count.
+//! chunked over threads, so the matrix and the edge weights are
+//! bit-identical for any thread count.
 
+use crate::band::DenseRow;
 use crate::ProximityKind;
 use sp_graph::{Graph, NodeId};
-use sp_linalg::CsrRowBlock;
-use std::ops::Range;
 
 /// Per-node wedge-centre weights of a wedge-family `kind`: `w[c]` is
 /// what centre `c` contributes to each of its neighbour pairs, or
-/// `None` when `kind` is not CN/AA/RA. All weights are non-negative —
-/// a strictly positive partial sum is what lets the scratch row use
-/// exact zero as its "untouched" marker.
+/// `None` when `kind` is not CN/AA/RA. All weights are non-negative,
+/// and [`wedge_row`] skips the zero ones.
 ///
 /// Adamic–Adar skips centres of degree 1: they cannot close a wedge,
 /// and `ln(1) = 0` would divide by zero anyway.
@@ -43,48 +42,22 @@ pub(crate) fn wedge_weights(g: &Graph, kind: ProximityKind) -> Option<Vec<f64>> 
     )
 }
 
-/// Wedge enumeration restricted to the output rows in `rows`:
-/// `p_ij = Σ_{w ∈ N(i)∩N(j)} weight(w)` for `i ∈ rows`.
-///
-/// Each output row reads only `g` and `w`, so any partition of
-/// `0..n` into ranges concatenates (in row order) to the bit-identical
-/// full matrix — the seam the row-band builder ([`crate::band`]) goes
-/// through for every band height and thread count.
-pub(crate) fn wedge_rows(g: &Graph, w: &[f64], rows: Range<usize>) -> CsrRowBlock {
-    let n = g.num_nodes();
-    let mut block = CsrRowBlock {
-        row_nnz: Vec::with_capacity(rows.len()),
-        indices: Vec::new(),
-        data: Vec::new(),
-    };
-    let mut acc = vec![0.0f64; n];
-    let mut touched: Vec<u32> = Vec::new();
-    for i in rows {
-        for &c in g.neighbors(i as NodeId) {
-            let cw = w[c as usize];
-            if cw == 0.0 {
-                continue;
-            }
-            for &j in g.neighbors(c) {
-                if j as usize == i {
-                    continue;
-                }
-                if acc[j as usize] == 0.0 {
-                    touched.push(j);
-                }
-                acc[j as usize] += cw;
+/// Accumulates output row `i` of a wedge measure into `row`:
+/// `p_ij = Σ_{w ∈ N(i)∩N(j)} weight(w)`, summed over the centres
+/// `w ∈ N(i)` in ascending order. The row reads only `g` and `w`, so
+/// it is the same for every band height and thread count.
+pub(crate) fn wedge_row(g: &Graph, w: &[f64], i: usize, row: &mut DenseRow) {
+    for &c in g.neighbors(i as NodeId) {
+        let cw = w[c as usize];
+        if cw == 0.0 {
+            continue;
+        }
+        for &j in g.neighbors(c) {
+            if j as usize != i {
+                row.add(j, cw);
             }
         }
-        touched.sort_unstable();
-        block.row_nnz.push(touched.len());
-        for &j in &touched {
-            block.indices.push(j);
-            block.data.push(acc[j as usize]);
-            acc[j as usize] = 0.0;
-        }
-        touched.clear();
     }
-    block
 }
 
 #[cfg(test)]

@@ -17,27 +17,33 @@
 //!   exactly the co-occurrence statistic DeepWalk's skip-gram window
 //!   samples. The paper's `SE-PrivGEmb_DW` uses `T = 2`.
 //!
-//! They share one engine, `WalkSeries`, which the row-band builder
-//! ([`crate::band::RowBands`]) calls. It evaluates the series **row by
-//! row**: row `i` of `M^l` is row `i` of `M^{l-1}` times `M`, so a band
-//! of output rows needs only its own rows of each power plus the whole
-//! (sparse, `O(|E|)`) base. Entries below a drop tolerance are pruned
-//! after each multiplication to keep fill-in bounded (the classic
-//! approximate-SpGEMM trick; the tolerance is zero — exact — on small
-//! graphs, see [`DEFAULT_DROP_TOL`]).
+//! They share one engine, `WalkSeries`, the walk half of the row kernel
+//! in [`crate::band`]. It evaluates the series **row by row** in dense
+//! scratch: row `i` of `M^l` is row `i` of `M^{l-1}` times `M`, so a row
+//! needs only its own row of each power plus the (sparse, `O(|E|)`)
+//! base. Entries below a drop tolerance are pruned after each
+//! multiplication to bound fill-in (exact on small graphs, see
+//! [`DEFAULT_DROP_TOL`]).
 
+use crate::band::Scratch;
 use crate::ProximityKind;
 use sp_graph::Graph;
-use sp_linalg::{CsrMatrix, CsrRowBlock};
-use std::ops::Range;
+use sp_linalg::CsrMatrix;
 
-/// Default drop tolerance applied by the walk proximities on graphs
-/// above ~100k edges; keeps `Â^t` fill-in bounded on hub-heavy graphs
-/// while perturbing entries by at most the tolerance per term.
+/// Drop tolerance the walk proximities apply on graphs above 100k
+/// edges, to bound `Â^t` fill-in on hub-heavy graphs.
+///
+/// It prunes no entry of DeepWalk window 2 on the BlogCatalog stand-in,
+/// the benchmark's one graph past 100k edges: an entry of `Â²` is at
+/// least `1/(d_i·d_k)` for some edge `(i, k)`, and the stand-in's
+/// maximum degree is 828 at seed 1 and 900 at seed 7. It prunes where
+/// the degrees along a walk multiply past 10⁶: two adjacent hubs for
+/// window 2, three moderate degrees for a longer `Â` series (DeepWalk
+/// windows above 2, PPR). Katz never prunes: its entries count walks.
 pub const DEFAULT_DROP_TOL: f64 = 1e-6;
 
 /// A truncated walk series `Σ_{l=1..L} coeffs[l-1] · base^l`, served
-/// one row range at a time.
+/// one row at a time.
 pub(crate) struct WalkSeries {
     base: CsrMatrix,
     coeffs: Vec<f64>,
@@ -46,12 +52,7 @@ pub(crate) struct WalkSeries {
 
 impl WalkSeries {
     /// The series of a walk-family `kind` on `g`, or `None` for the
-    /// other kinds.
-    ///
-    /// # Panics
-    /// On a parameter outside its range: Katz `β ∉ (0,1)` or
-    /// `max_len == 0`, PPR `α ∉ (0,1)` or `iters == 0`, DeepWalk
-    /// `window == 0`.
+    /// other kinds. Panics on a parameter outside its range.
     pub(crate) fn new(g: &Graph, kind: ProximityKind) -> Option<Self> {
         let (base, coeffs): (CsrMatrix, Vec<f64>) = match kind {
             ProximityKind::Katz { beta, max_len } => {
@@ -70,103 +71,62 @@ impl WalkSeries {
             }
             ProximityKind::DeepWalk { window } => {
                 assert!(window >= 1, "deepwalk: window must be >= 1");
-                (
-                    crate::normalized_adjacency(g),
-                    vec![1.0 / window as f64; window],
-                )
+                let coeffs = vec![1.0 / window as f64; window];
+                (crate::normalized_adjacency(g), coeffs)
             }
             _ => return None,
+        };
+        let drop_tol = if g.num_edges() > 100_000 {
+            DEFAULT_DROP_TOL
+        } else {
+            0.0
         };
         Some(Self {
             base,
             coeffs,
-            drop_tol: auto_tol(g),
+            drop_tol,
         })
     }
 
-    /// The series' output rows `rows`:
-    ///
-    /// 1. start from the rows of the base, pruned to `|v| >= drop_tol`;
-    /// 2. each further power is one [`CsrMatrix::spgemm_rows`] of the
-    ///    previous power's rows against the unpruned base;
-    /// 3. each power is folded in as `acc + c·power`.
-    ///
-    /// Every row depends only on the base and the coefficients, so any
-    /// partition of `0..n` concatenates to the bit-identical matrix.
-    pub(crate) fn rows(&self, rows: Range<usize>) -> CsrRowBlock {
-        let height = rows.len();
-        let mut power = CsrRowBlock {
-            row_nnz: Vec::with_capacity(height),
-            ..CsrRowBlock::default()
-        };
-        for i in rows {
-            let before = power.indices.len();
-            let (idx, val) = self.base.row(i);
-            for (&j, &v) in idx.iter().zip(val) {
-                if self.drop_tol <= 0.0 || v.abs() >= self.drop_tol {
-                    power.indices.push(j);
-                    power.data.push(v);
+    /// Accumulates output row `i` of the series into `s.row`; the
+    /// scratch must be clear, and is left clear but for `s.row`.
+    /// Starting from `e_i`, each power scatters the previous power's kept
+    /// entries, in ascending column order, against the base into
+    /// `s.power` — the `acc[c] += a·b` order of [`CsrMatrix::spgemm`] —
+    /// and keeps its non-zero entries with `|v| >= drop_tol`. Each kept
+    /// entry folds into the row as `row[c] + c_l·v`, the bits of a sparse
+    /// `acc + c_l·power` merge: an untouched column holds `0.0`, and
+    /// `0.0 + x == x`. Only a power a later multiplication reads is
+    /// sorted; power 1 is the base row, already ascending, so DeepWalk
+    /// window 2 sorts nothing.
+    pub(crate) fn row(&self, i: usize, s: &mut Scratch) {
+        let keep = |v: f64| v != 0.0 && (self.drop_tol <= 0.0 || v.abs() >= self.drop_tol);
+        s.prev.push((i as u32, 1.0));
+        for (l, &c) in self.coeffs.iter().enumerate() {
+            for &(j, a) in &s.prev {
+                let (idx, val) = self.base.row(j as usize);
+                for (&k, &b) in idx.iter().zip(val) {
+                    s.power.add(k, a * b);
                 }
             }
-            power.row_nnz.push(power.indices.len() - before);
+            let read_again = l + 1 < self.coeffs.len();
+            s.prev.clear();
+            s.power.drain(read_again && l > 0, |k, v| {
+                if keep(v) {
+                    s.row.add(k, v * c);
+                    if read_again {
+                        s.prev.push((k, v));
+                    }
+                }
+            });
         }
-        let mut acc = power.clone();
-        acc.data.iter_mut().for_each(|v| *v *= self.coeffs[0]);
-        for &c in &self.coeffs[1..] {
-            let prev = CsrMatrix::from_row_blocks(height, self.base.cols(), vec![power]);
-            power = prev.spgemm_rows(&self.base, 0..height, self.drop_tol);
-            acc = add_scaled(&acc, &power, c);
-        }
-        acc
-    }
-}
-
-/// `acc + c·term` for two blocks over the same rows, under the rules of
-/// `CooBuilder::build`: entries at the same column are summed, and
-/// exact-zero results are dropped wherever they come from.
-fn add_scaled(acc: &CsrRowBlock, term: &CsrRowBlock, c: f64) -> CsrRowBlock {
-    let mut out = CsrRowBlock {
-        row_nnz: Vec::with_capacity(acc.rows()),
-        indices: Vec::with_capacity(acc.indices.len() + term.indices.len()),
-        data: Vec::with_capacity(acc.indices.len() + term.indices.len()),
-    };
-    let (mut a, mut t) = (0usize, 0usize);
-    for (&acc_nnz, &term_nnz) in acc.row_nnz.iter().zip(&term.row_nnz) {
-        let (a_end, t_end) = (a + acc_nnz, t + term_nnz);
-        let before = out.indices.len();
-        while a < a_end || t < t_end {
-            // Take the smaller column next; both cursors on a tie.
-            let take_acc = t == t_end || (a < a_end && acc.indices[a] <= term.indices[t]);
-            let take_term = a == a_end || (t < t_end && term.indices[t] <= acc.indices[a]);
-            let (j, v) = match (take_acc, take_term) {
-                (true, true) => (acc.indices[a], acc.data[a] + term.data[t] * c),
-                (true, false) => (acc.indices[a], acc.data[a]),
-                (false, _) => (term.indices[t], term.data[t] * c),
-            };
-            a += usize::from(take_acc);
-            t += usize::from(take_term);
-            if v != 0.0 {
-                out.indices.push(j);
-                out.data.push(v);
-            }
-        }
-        out.row_nnz.push(out.indices.len() - before);
-    }
-    out
-}
-
-/// Exact on small graphs, pruned on large ones.
-fn auto_tol(g: &Graph) -> f64 {
-    if g.num_edges() > 100_000 {
-        DEFAULT_DROP_TOL
-    } else {
-        0.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::band::{RowBands, Source};
     use crate::{proximity_matrix, EdgeProximity};
     use sp_graph::Graph;
 
@@ -174,14 +134,29 @@ mod tests {
         Graph::from_edges(3, [(0, 1), (1, 2)])
     }
 
+    /// The series as a row builder on `g`, so both finishes run it.
+    fn builder(g: &Graph, series: WalkSeries) -> RowBands<'_> {
+        RowBands {
+            g,
+            source: Source::Walk(series),
+        }
+    }
+
+    /// The whole matrix of `series` through the matrix finish.
+    fn matrix(g: &Graph, series: WalkSeries) -> CsrMatrix {
+        let n = g.num_nodes();
+        CsrMatrix::from_row_blocks(n, n, vec![builder(g, series).band(0..n, Some(1))])
+    }
+
+    /// The series of `base` on `path3()`, the graph every caller's base
+    /// is built from.
     fn series(base: CsrMatrix, coeffs: &[f64], drop_tol: f64) -> CsrMatrix {
-        let n = base.rows();
         let s = WalkSeries {
             base,
             coeffs: coeffs.to_vec(),
             drop_tol,
         };
-        CsrMatrix::from_row_blocks(n, n, vec![s.rows(0..n)])
+        matrix(&path3(), s)
     }
 
     #[test]
@@ -211,24 +186,6 @@ mod tests {
         // With a huge tolerance everything is dropped.
         let s = series(a, &[1.0], 10.0);
         assert_eq!(s.nnz(), 0);
-    }
-
-    #[test]
-    fn add_scaled_sums_shared_columns_and_drops_zeros() {
-        let acc = CsrRowBlock {
-            row_nnz: vec![2, 1, 0],
-            indices: vec![0, 2, 1],
-            data: vec![1.0, 4.0, 3.0],
-        };
-        let term = CsrRowBlock {
-            row_nnz: vec![2, 0, 1],
-            indices: vec![1, 2, 0],
-            data: vec![5.0, -2.0, 7.0],
-        };
-        let out = add_scaled(&acc, &term, 2.0);
-        assert_eq!(out.row_nnz, vec![2, 1, 1]);
-        assert_eq!(out.indices, vec![0, 1, 1, 0]);
-        assert_eq!(out.data, vec![1.0, 10.0, 3.0, 14.0]);
     }
 
     /// A degree-6 hub on a ring of six, with a three-edge tail: row
@@ -284,18 +241,38 @@ mod tests {
 
     #[test]
     fn explicit_tolerance_prunes_intermediate_powers() {
-        // auto_tol is 0 on every test graph, so this is the only test
-        // that drops an entry.
+        // Every test graph is below the 100k edges past which
+        // WalkSeries::new prunes, so this is the only test that drops
+        // an entry.
         let g = hub_with_tail();
-        let n = g.num_nodes();
         for (kind, drop_tol, golden) in PRUNED {
             let exact = proximity_matrix(&g, kind);
-            let mut s = WalkSeries::new(&g, kind).unwrap();
-            assert_eq!(s.drop_tol, 0.0);
-            s.drop_tol = drop_tol;
-            let pruned = CsrMatrix::from_row_blocks(n, n, vec![s.rows(0..n)]);
+            let pruned_series = || {
+                let mut s = WalkSeries::new(&g, kind).unwrap();
+                assert_eq!(s.drop_tol, 0.0);
+                s.drop_tol = drop_tol;
+                s
+            };
+            let pruned = matrix(&g, pruned_series());
             assert_ne!(pruned, exact, "{kind:?}: nothing pruned");
             assert_eq!(digest(&pruned), golden, "{kind:?}");
+            // The edge finish reads the same pruned rows.
+            let lookups: Vec<u64> = g
+                .edges()
+                .iter()
+                .map(|&(u, v)| pruned.get(u as usize, v as usize).to_bits())
+                .collect();
+            for threads in [1, 4] {
+                let (weights, min) = builder(&g, pruned_series()).edge_weights(Some(threads));
+                let weights: Vec<u64> = weights.iter().map(|w| w.to_bits()).collect();
+                assert_eq!(weights, lookups, "{kind:?} threads={threads}");
+                let matrix_min = pruned.min_positive().unwrap_or(1.0);
+                assert_eq!(
+                    min.to_bits(),
+                    matrix_min.to_bits(),
+                    "{kind:?} threads={threads}"
+                );
+            }
         }
     }
 
