@@ -156,7 +156,9 @@ fn main() {
 
     // --- 2. Materialised-path size (len-based, no allocation). ---
     let t0 = Instant::now();
-    let (p_nnz, band_peak_bytes, scratch_bytes) = banded_nnz(&g);
+    let bands = RowBands::new(&g, ProximityKind::CommonNeighbors)
+        .expect("common neighbours is a matrix-backed measure");
+    let (p_nnz, band_peak_bytes) = banded_nnz(&bands);
     let materialized_p_bytes = (p_nnz * (8 + 4) + (g.num_nodes() + 1) * 8) as u64;
     let materialized_gs_bytes = (g.num_edges() * (std::mem::size_of::<Subgraph>() + 3 * 4)) as u64;
     println!(
@@ -172,7 +174,7 @@ fn main() {
     //        per worker. ---
     let t0 = Instant::now();
     let workers = resolve_threads(None) as u64;
-    let edge_transient_bytes = (g.num_edges() * 8) as u64 + workers * scratch_bytes;
+    let edge_transient_bytes = (g.num_edges() * 8) as u64 + workers * bands.scratch_bytes();
     tracker.add((g.num_edges() * 8) as u64);
     tracker.add(edge_transient_bytes);
     let prox = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, None);
@@ -334,13 +336,11 @@ fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
     g
 }
 
-/// Sweeps the common-neighbour matrix in bands of [`BAND_ROWS`] rows
-/// without keeping any of them: returns the total nnz the materialised
-/// P would hold, the largest single band's heap footprint (what the
-/// matrix builder holds per band), and one worker's scratch bytes.
-fn banded_nnz(g: &Graph) -> (usize, u64, u64) {
-    let bands = RowBands::new(g, ProximityKind::CommonNeighbors)
-        .expect("common neighbours is a matrix-backed measure");
+/// Sweeps the matrix in bands of [`BAND_ROWS`] rows without keeping
+/// any of them: returns the total nnz the materialised P would hold and
+/// the largest single band's heap footprint (what the matrix builder
+/// holds per band).
+fn banded_nnz(bands: &RowBands) -> (usize, u64) {
     let n = bands.rows();
     let mut nnz = 0usize;
     let mut peak = 0u64;
@@ -349,7 +349,7 @@ fn banded_nnz(g: &Graph) -> (usize, u64, u64) {
         nnz += block.indices.len();
         peak = peak.max(block.heap_bytes());
     }
-    (nnz, peak, bands.scratch_bytes())
+    (nnz, peak)
 }
 
 fn write_json(
