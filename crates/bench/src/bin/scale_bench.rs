@@ -4,7 +4,7 @@
 //! bounded-degree graph: CSR construction through [`GraphBuilder`],
 //! proximity edge weights ([`EdgeProximity::compute_threads`], which
 //! reads each row's edges off a per-worker scratch row and builds no
-//! band; the matrix builder's band of [`BAND_ROWS`] rows is measured
+//! band; the matrix finish's band of [`BAND_ROWS`] rows is measured
 //! beside it), the degree alias table of Alg. 1's degree-proportional
 //! sampler, and the trainer, which regenerates every sampled subgraph
 //! on demand instead of holding `G_S`. Every resident and transient
@@ -338,7 +338,7 @@ fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
 
 /// Sweeps the matrix in bands of [`BAND_ROWS`] rows without keeping
 /// any of them: returns the total nnz the materialised P would hold and
-/// the largest single band's heap footprint (what the matrix builder
+/// the largest single band's heap footprint (what the matrix finish
 /// holds per band).
 fn banded_nnz(bands: &RowBands) -> (usize, u64) {
     let n = bands.rows();

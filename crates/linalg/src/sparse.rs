@@ -13,7 +13,7 @@ use std::ops::Range;
 
 /// One contiguous block of CSR rows — per-row non-zero counts plus the
 /// concatenated column indices and values — produced by row-partitioned
-/// builders ([`CsrMatrix::spgemm_rows`], the proximity row kernel's
+/// kernels ([`CsrMatrix::spgemm_rows`], the proximity row kernel's
 /// matrix finish) and stitched back together with
 /// [`CsrMatrix::from_row_blocks`].
 #[derive(Clone, Debug, Default)]

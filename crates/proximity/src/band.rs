@@ -27,8 +27,8 @@ use std::ops::Range;
 /// [`proximity_matrix`](crate::proximity_matrix) is one band.
 pub const BAND_ROWS: usize = 128;
 
-/// Row builder for the six matrix-backed measures: precomputes what
-/// every row reads once, then serves row bands or edge weights.
+/// The rows of the six matrix-backed measures: precomputes what every
+/// row reads once, then serves row bands or edge weights.
 pub struct RowBands<'g> {
     pub(crate) g: &'g Graph,
     pub(crate) source: Source,
@@ -94,7 +94,7 @@ pub(crate) struct Scratch {
 }
 
 impl<'g> RowBands<'g> {
-    /// A row builder for `kind` on `g`, or `None` for
+    /// The rows of `kind` on `g`, or `None` for
     /// [`ProximityKind::PreferentialAttachment`] and
     /// [`ProximityKind::Degree`], whose matrices are dense by
     /// construction and which have a closed form instead.

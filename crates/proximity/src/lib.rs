@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn compute_blocked_accounts_transient_bands() {
-        // The matrix builder's bands account for the whole matrix —
+        // The matrix finish's bands account for the whole matrix —
         // their entries add up to its nnz — while each one, resident
         // alone, holds less than the whole matrix.
         let g = ring_with_chords(4 * band::BAND_ROWS + 3);

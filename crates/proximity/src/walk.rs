@@ -134,8 +134,8 @@ mod tests {
         Graph::from_edges(3, [(0, 1), (1, 2)])
     }
 
-    /// The series as a row builder on `g`, so both finishes run it.
-    fn builder(g: &Graph, series: WalkSeries) -> RowBands<'_> {
+    /// The rows of `series` on `g`, so both finishes run it.
+    fn rows_of(g: &Graph, series: WalkSeries) -> RowBands<'_> {
         RowBands {
             g,
             source: Source::Walk(series),
@@ -145,7 +145,7 @@ mod tests {
     /// The whole matrix of `series` through the matrix finish.
     fn matrix(g: &Graph, series: WalkSeries) -> CsrMatrix {
         let n = g.num_nodes();
-        CsrMatrix::from_row_blocks(n, n, vec![builder(g, series).band(0..n, Some(1))])
+        CsrMatrix::from_row_blocks(n, n, vec![rows_of(g, series).band(0..n, Some(1))])
     }
 
     /// The series of `base` on `path3()`, the graph every caller's base
@@ -263,7 +263,7 @@ mod tests {
                 .map(|&(u, v)| pruned.get(u as usize, v as usize).to_bits())
                 .collect();
             for threads in [1, 4] {
-                let (weights, min) = builder(&g, pruned_series()).edge_weights(Some(threads));
+                let (weights, min) = rows_of(&g, pruned_series()).edge_weights(Some(threads));
                 let weights: Vec<u64> = weights.iter().map(|w| w.to_bits()).collect();
                 assert_eq!(weights, lookups, "{kind:?} threads={threads}");
                 let matrix_min = pruned.min_positive().unwrap_or(1.0);
