@@ -94,6 +94,31 @@ fn golden_fit(
         .fit(&ring_with_chords(60))
 }
 
+/// A fit shaped to split every per-example kernel of the step: dim 13
+/// (three 4-lane chunks and a one-element tail in every inner product
+/// and norm), k = 4 (five context rows per example: a group of three
+/// inner products, then two), degree-proportional negatives (repeated
+/// context rows) and `NonZero` noise over two epochs of three steps.
+fn odd_shape_fit(threads: usize) -> se_privgemb::EmbeddingResult {
+    SePrivGEmb::builder()
+        .dim(13)
+        .negatives(4)
+        .batch_size(32)
+        .learning_rate(0.1)
+        .clip(1.0)
+        .sigma(5.0)
+        .epsilon(3.5)
+        .delta(1e-5)
+        .epochs(2)
+        .strategy(PerturbStrategy::NonZero)
+        .negative_sampling(NegativeSampling::DegreeProportional)
+        .proximity(ProximityKind::deepwalk_default())
+        .seed(0x0DD5)
+        .threads(threads)
+        .build()
+        .fit(&ring_with_chords(60))
+}
+
 fn golden_trainer(threads: usize) -> se_privgemb::EmbeddingResult {
     golden_fit(
         threads,
@@ -171,20 +196,27 @@ const GOLDEN_TRAIN_W_IN: u64 = 0xc32f1c24be4f5e99;
 const GOLDEN_TRAIN_W_OUT: u64 = 0x64734194be18b896;
 const GOLDEN_TRAIN_STEPS: u64 = 6;
 const GOLDEN_TRAIN_EPS_BITS: u64 = 0x4003c53506d06d1a;
-/// `(strategy, negative sampling, W_in digest, W_out digest, steps)`
-/// of the update paths `GOLDEN_TRAIN_*` does not cover: the
-/// non-private step, the `Naive` all-rows update, and degree-
-/// proportional negatives, whose duplicate negatives (and negatives
-/// equal to the positive) go through `GradBuffer`'s row merge. Pinned
-/// on the dense-accumulator trainer, before batches were reduced into
-/// touched-row slabs.
-const GOLDEN_UPDATE_PATHS: [(PerturbStrategy, NegativeSampling, u64, u64, u64); 3] = [
+/// `final_loss` bits of the same fit, pinned on the trainer that
+/// recomputed each final-epoch loss with `SkipGramModel::loss`.
+const GOLDEN_TRAIN_LOSS_BITS: u64 = 0x400652eb152537aa;
+/// `(strategy, negative sampling, W_in digest, W_out digest, steps,
+/// final_loss bits)` of the update paths `GOLDEN_TRAIN_*` does not
+/// cover: the non-private step, the `Naive` all-rows update, and
+/// degree-proportional negatives, whose duplicate negatives (and
+/// negatives equal to the positive) go through `GradBuffer`'s row
+/// merge. The digests and steps were pinned on the dense-accumulator
+/// trainer, before batches were reduced into touched-row slabs; the
+/// loss bits on the trainer that recomputed each final-epoch loss with
+/// `SkipGramModel::loss`.
+type UpdatePath = (PerturbStrategy, NegativeSampling, u64, u64, u64, u64);
+const GOLDEN_UPDATE_PATHS: [UpdatePath; 3] = [
     (
         PerturbStrategy::None,
         NegativeSampling::UniformNonNeighbor,
         0xff039af450ce2f30,
         0x89a54799a845c434,
         6,
+        0x40065265d6b3757a,
     ),
     (
         PerturbStrategy::Naive,
@@ -192,6 +224,7 @@ const GOLDEN_UPDATE_PATHS: [(PerturbStrategy, NegativeSampling, u64, u64, u64); 
         0xe116ec6a9e25f70c,
         0x00fd34de3af59231,
         6,
+        0x401ca04de62d82ce,
     ),
     (
         PerturbStrategy::NonZero,
@@ -199,8 +232,20 @@ const GOLDEN_UPDATE_PATHS: [(PerturbStrategy, NegativeSampling, u64, u64, u64); 
         0x8c51240c3780ee6c,
         0x9c23075f8ee41782,
         6,
+        0x40064deab842c2e1,
     ),
 ];
+/// `(W_in digest, W_out digest, steps, ε bits, final_loss bits)` of
+/// `odd_shape_fit`, pinned on the trainer that materialised every
+/// context gradient row and recomputed each final-epoch loss with
+/// `SkipGramModel::loss`.
+const GOLDEN_ODD_SHAPE: (u64, u64, u64, u64, u64) = (
+    0x2770b169de383b70,
+    0x7894265b0e5a209d,
+    6,
+    0x4003c53506d06d1a,
+    0x400b8ee76014799d,
+);
 // Pinned at introduction of the seeded corpus (threads=1 == threads=4
 // by construction; the constant guards against future drift).
 const GOLDEN_WALK_PAIRS: usize = 2280;
@@ -351,6 +396,7 @@ fn trainer_threads1_matches_pre_refactor_golden() {
     assert_eq!(weights_digest(&r.model.w_out), GOLDEN_TRAIN_W_OUT);
     assert_eq!(r.report.steps_run, GOLDEN_TRAIN_STEPS);
     assert_eq!(r.report.epsilon_spent.to_bits(), GOLDEN_TRAIN_EPS_BITS);
+    assert_eq!(r.report.final_loss.to_bits(), GOLDEN_TRAIN_LOSS_BITS);
 }
 
 #[test]
@@ -380,15 +426,55 @@ fn trainer_bit_identical_for_1_and_4_threads() {
 
 #[test]
 fn every_update_path_matches_its_golden_at_1_and_2_threads() {
-    for (strategy, sampling, w_in, w_out, steps) in GOLDEN_UPDATE_PATHS {
+    for (strategy, sampling, w_in, w_out, steps, loss) in GOLDEN_UPDATE_PATHS {
         for threads in [1, 2] {
             let r = golden_fit(threads, strategy, sampling);
             let at = format!("{strategy:?}/{sampling:?} at threads={threads}");
             assert_eq!(weights_digest(&r.model.w_in), w_in, "W_in: {at}");
             assert_eq!(weights_digest(&r.model.w_out), w_out, "W_out: {at}");
             assert_eq!(r.report.steps_run, steps, "steps: {at}");
+            assert_eq!(r.report.final_loss.to_bits(), loss, "loss: {at}");
         }
     }
+}
+
+#[test]
+fn odd_shape_matches_its_golden_at_1_and_2_threads() {
+    let (w_in, w_out, steps, eps, loss) = GOLDEN_ODD_SHAPE;
+    for threads in [1, 2] {
+        let r = odd_shape_fit(threads);
+        let at = format!("threads={threads}");
+        assert_eq!(weights_digest(&r.model.w_in), w_in, "W_in: {at}");
+        assert_eq!(weights_digest(&r.model.w_out), w_out, "W_out: {at}");
+        assert_eq!(r.report.steps_run, steps, "steps: {at}");
+        assert_eq!(r.report.epsilon_spent.to_bits(), eps, "ε: {at}");
+        assert_eq!(r.report.final_loss.to_bits(), loss, "loss: {at}");
+    }
+}
+
+#[test]
+fn odd_shape_golden_repeats_context_rows() {
+    // As for the degree-proportional update path above: the golden
+    // only guards the merge of repeated context rows if its G_S has
+    // both kinds of repeat.
+    let g = ring_with_chords(60);
+    let gs = sp_skipgram::generate_subgraphs(
+        &g,
+        4,
+        NegativeSampling::DegreeProportional,
+        &mut SmallRng::seed_from_u64(0x0DD5),
+    );
+    assert!(
+        gs.iter().any(|sg| {
+            let n = &sg.negatives;
+            (1..n.len()).any(|i| n[..i].contains(&n[i]))
+        }),
+        "no duplicate negatives"
+    );
+    assert!(
+        gs.iter().any(|sg| sg.negatives.contains(&sg.positive)),
+        "no negative equals its positive"
+    );
 }
 
 #[test]
