@@ -2,7 +2,9 @@
 //!
 //! Measures the shipping lane-shaped kernels in `sp_linalg::vector`
 //! (and the serving f32 score path that delegates to them) against
-//! plain scalar reference loops, plus the trainer's keyed Gaussian
+//! plain scalar reference loops, the trainer's three-row inner products
+//! (`dot_rows_f64`: one `dot_rows` pass against three `dot` calls),
+//! plus the trainer's keyed Gaussian
 //! noise row (`noise_row`: one r = 128 row through
 //! `sp_dp::NoiseKeys::fill_row`, gated with no scalar reference),
 //! writes the per-kernel medians as
@@ -153,6 +155,10 @@ fn run_all(slow: bool) -> Vec<KernelRow> {
     let yf: Vec<f32> = (0..DIM_F32_WIDE)
         .map(|_| unit_f64(&mut rng) as f32)
         .collect();
+    // Two more context rows for `dot_rows_f64`, drawn after every
+    // other operand so those keep their values.
+    let za: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
+    let wa: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
     let mut acc = ya.clone();
     let mut acc2 = ya.clone();
     let mut ga = xa.clone();
@@ -175,6 +181,29 @@ fn run_all(slow: bool) -> Vec<KernelRow> {
         dim: DIM_F64,
         body: batched(|| {
             black_box(vector::dot(black_box(&xa), black_box(&ya)));
+        }),
+    });
+
+    // dot_rows (f64): the trainer's inner products of one centre row
+    // with three context rows in one pass, against three `dot` calls.
+    let (x, ctx) = (&xa[..], [&ya[..], &za[..], &wa[..]]);
+    cands.push(Candidate {
+        kernel: "dot_rows_f64",
+        variant: "scalar",
+        dim: DIM_F64,
+        body: batched(move || {
+            let x = black_box(x);
+            black_box(ctx.map(|y| vector::dot(x, black_box(y))));
+        }),
+    });
+    cands.push(Candidate {
+        kernel: "dot_rows_f64",
+        variant: "lanes",
+        dim: DIM_F64,
+        body: batched(move || {
+            let mut out = [0.0; 3];
+            vector::dot_rows(black_box(x), |j| black_box(ctx[j]), &mut out);
+            black_box(out);
         }),
     });
 

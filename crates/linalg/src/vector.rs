@@ -49,16 +49,89 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     let split = n - (n % LANES_F64);
     let (xm, xt) = x[..n].split_at(split);
     let (ym, yt) = y[..n].split_at(split);
-    let mut lanes = [0.0f64; LANES_F64];
-    for (xs, ys) in xm.chunks_exact(LANES_F64).zip(ym.chunks_exact(LANES_F64)) {
+    let [lanes] = lane_sums(xm, [ym]);
+    fold_lanes(lanes, xt, yt)
+}
+
+/// Inner products of `x` with `out.len()` rows: `out[j] = dot(x,
+/// row(j))`, bit for bit.
+///
+/// The rows go three to a pass over `x`. A lone [`dot`] at `r = 128`
+/// waits on its lanes' add chains; three rows' chains interleave, so a
+/// pass costs little more than one `dot`. Each row keeps `dot`'s four
+/// lanes, fold and tail, so the grouping changes no bit.
+///
+/// # Panics
+/// Panics in debug builds if a row's length differs from `x`'s.
+#[inline]
+pub fn dot_rows<'a>(x: &[f64], row: impl Fn(usize) -> &'a [f64], out: &mut [f64]) {
+    for (g, o) in out.chunks_mut(3).enumerate() {
+        let j = 3 * g;
+        match o {
+            [a, b, c] => [*a, *b, *c] = dot_group(x, [row(j), row(j + 1), row(j + 2)]),
+            [a, b] => [*a, *b] = dot_group(x, [row(j), row(j + 1)]),
+            [a] => *a = dot(x, row(j)),
+            _ => unreachable!("chunks_mut yields 1..=3 rows"),
+        }
+    }
+}
+
+/// [`dot`] of `x` with each of `R` rows, in one pass over `x`.
+#[inline]
+fn dot_group<const R: usize>(x: &[f64], rows: [&[f64]; R]) -> [f64; R] {
+    let mut n = x.len();
+    for y in rows {
+        debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
+        n = n.min(y.len());
+    }
+    let split = n - (n % LANES_F64);
+    let (xm, xt) = x[..n].split_at(split);
+    let rows = rows.map(|y| y[..n].split_at(split));
+    let lanes = lane_sums_apart(xm, rows.map(|(ym, _)| ym));
+    let mut out = [0.0; R];
+    for ((o, lanes), (_, yt)) in out.iter_mut().zip(lanes).zip(rows) {
+        *o = fold_lanes(lanes, xt, yt);
+    }
+    out
+}
+
+/// [`lane_sums`] behind a call boundary. Inlined, LLVM's SLP
+/// vectoriser packs lanes of *different* rows into one register to
+/// match the adjacent results, and the shuffles that takes made three
+/// rows cost as much as three [`dot`] calls; apart, each row keeps its
+/// lanes in its own registers.
+#[inline(never)]
+fn lane_sums_apart<const R: usize>(xm: &[f64], rows: [&[f64]; R]) -> [[f64; LANES_F64]; R] {
+    lane_sums(xm, rows)
+}
+
+/// Each row's four lane-strided partial sums of `x[i] * row[i]` over
+/// `xm`, a whole number of lane chunks: the main loop of [`dot`].
+#[inline(always)]
+fn lane_sums<const R: usize>(xm: &[f64], rows: [&[f64]; R]) -> [[f64; LANES_F64]; R] {
+    let mut chunks = rows.map(|ym| ym[..xm.len()].chunks_exact(LANES_F64));
+    let mut lanes = [[0.0f64; LANES_F64]; R];
+    for xs in xm.chunks_exact(LANES_F64) {
         // Fixed-size views let LLVM drop the chunk-length bookkeeping
         // and emit one packed multiply-add per iteration.
         let xs: &[f64; LANES_F64] = xs.try_into().expect("exact chunk");
-        let ys: &[f64; LANES_F64] = ys.try_into().expect("exact chunk");
-        for (l, acc) in lanes.iter_mut().enumerate() {
-            *acc += xs[l] * ys[l];
+        for (acc, ym) in lanes.iter_mut().zip(&mut chunks) {
+            let ys: &[f64; LANES_F64] = ym
+                .next()
+                .and_then(|ys| ys.try_into().ok())
+                .expect("rows as long as x");
+            for l in 0..LANES_F64 {
+                acc[l] += xs[l] * ys[l];
+            }
         }
     }
+    lanes
+}
+
+/// `dot`'s canonical finish: the lanes folded as `(l0 + l1) + (l2 +
+/// l3)`, then the scalar tail in index order.
+#[inline(always)]
+fn fold_lanes(lanes: [f64; LANES_F64], xt: &[f64], yt: &[f64]) -> f64 {
     let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
     for (a, b) in xt.iter().zip(yt) {
         s += a * b;
@@ -96,6 +169,28 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 #[inline]
 pub fn norm2_sq(x: &[f64]) -> f64 {
     dot(x, x)
+}
+
+/// [`norm2_sq`] of the row `alpha·x`, without writing the row: each
+/// lane squares `alpha * x[i]`, so the result equals `norm2_sq` of the
+/// materialised row bit for bit.
+#[inline]
+pub fn norm2_sq_scaled(alpha: f64, x: &[f64]) -> f64 {
+    let (xm, xt) = x.split_at(x.len() - x.len() % LANES_F64);
+    let mut lanes = [0.0f64; LANES_F64];
+    for xs in xm.chunks_exact(LANES_F64) {
+        let xs: &[f64; LANES_F64] = xs.try_into().expect("exact chunk");
+        for (l, acc) in lanes.iter_mut().enumerate() {
+            let t = alpha * xs[l];
+            *acc += t * t;
+        }
+    }
+    let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    for a in xt {
+        let t = alpha * a;
+        s += t * t;
+    }
+    s
 }
 
 /// Euclidean norm.
@@ -323,6 +418,41 @@ mod tests {
         let x = test_vec(131, 5);
         let y = test_vec(131, 6);
         assert_eq!(dot(&x, &y).to_bits(), dot(&x, &y).to_bits());
+    }
+
+    #[test]
+    fn dot_rows_is_bit_identical_to_dot_for_every_length_and_row_count() {
+        for n in 0..40 {
+            let x = test_vec(n, 20);
+            let rows: Vec<Vec<f64>> = (0..7).map(|j| test_vec(n, 21 + j)).collect();
+            for count in 0..=rows.len() {
+                let mut out = vec![f64::NAN; count];
+                dot_rows(&x, |j| &rows[j], &mut out);
+                for (j, got) in out.iter().enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        dot(&x, &rows[j]).to_bits(),
+                        "n={n} rows={count} row {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn norm2_sq_scaled_is_bit_identical_to_the_materialised_row() {
+        for n in 0..40 {
+            let x = test_vec(n, 30);
+            for alpha in [0.0, -0.0, 1.0, -0.37, 2.5e-3, 7.0] {
+                // The row as an axpy onto zeros would write it.
+                let row: Vec<f64> = x.iter().map(|v| 0.0 + alpha * v).collect();
+                assert_eq!(
+                    norm2_sq_scaled(alpha, &x).to_bits(),
+                    norm2_sq(&row).to_bits(),
+                    "n={n} alpha={alpha}"
+                );
+            }
+        }
     }
 
     #[test]
