@@ -86,57 +86,69 @@ impl SkipGramModel {
 
     /// Computes the per-example gradient of Eq. 5 into `buf`.
     ///
-    /// Duplicate negative rows (and a negative equal to the positive
-    /// under degree-proportional sampling) are accumulated into a
-    /// single context row, so `buf` holds the *true* sparse gradient
-    /// and the joint clip in the trainer bounds the true sensitivity.
+    /// The `k+1` inner products are taken once, three rows to a pass
+    /// ([`vector::dot_rows`]); the loss ([`GradBuffer::loss`]), the
+    /// gradient and the clip all read them. Duplicate negative rows
+    /// (and a negative equal to the positive under degree-proportional
+    /// sampling) are accumulated into a single context row, so `buf`
+    /// holds the *true* sparse gradient and the joint clip in the
+    /// trainer bounds the true sensitivity.
     pub fn example_grad(&self, sg: &Subgraph, p: f64, buf: &mut GradBuffer) {
-        let dim = self.dim();
-        buf.reset(sg.center, dim);
+        let term = |t: usize| match t {
+            0 => sg.positive,
+            _ => sg.negatives[t - 1],
+        };
+        let terms = 1 + sg.negatives.len();
         let vi = self.w_in.row(sg.center as usize);
-
-        // Positive pair, label 1.
-        let err_pos = p * (vector::sigmoid(self.inner(sg.center, sg.positive)) - 1.0);
-        vector::axpy(
-            err_pos,
-            self.w_out.row(sg.positive as usize),
-            &mut buf.grad_center,
-        );
-        buf.accumulate_ctx(sg.positive, err_pos, vi, dim);
-
-        // Negatives, label 0.
-        for &n in &sg.negatives {
-            let err = p * vector::sigmoid(self.inner(sg.center, n));
-            vector::axpy(err, self.w_out.row(n as usize), &mut buf.grad_center);
-            buf.accumulate_ctx(n, err, vi, dim);
+        buf.reset(sg.center, vi, p, terms);
+        vector::dot_rows(vi, |t| self.w_out.row(term(t) as usize), &mut buf.inner);
+        for t in 0..terms {
+            let row = term(t);
+            let s = vector::sigmoid(buf.inner[t]);
+            // The positive pair has label 1, the negatives label 0.
+            let err = if t == 0 { p * (s - 1.0) } else { p * s };
+            vector::axpy(err, self.w_out.row(row as usize), &mut buf.grad_center);
+            buf.accumulate_ctx(row, err);
         }
-    }
-
-    /// Applies a plain SGD update `row -= lr * grad` to a `W_in` row.
-    pub fn sgd_update_in(&mut self, row: NodeId, lr: f64, grad: &[f64]) {
-        vector::axpy(-lr, grad, self.w_in.row_mut(row as usize));
-    }
-
-    /// Applies a plain SGD update to a `W_out` row.
-    pub fn sgd_update_out(&mut self, row: NodeId, lr: f64, grad: &[f64]) {
-        vector::axpy(-lr, grad, self.w_out.row_mut(row as usize));
     }
 }
 
-/// Reusable per-example gradient buffer (one `W_in` row + up to `k+1`
-/// unique `W_out` rows). Allocation-free across examples once the
-/// capacity is warm.
+/// Reusable per-example gradient buffer: the `W_in` row of Eq. 7 and
+/// the up to `k+1` unique `W_out` rows of Eq. 8. Each Eq. 8 row is a
+/// multiple of `v_i`, so a row is kept as its coefficient and written
+/// out only when it is added into the trainer's slabs. Allocation-free
+/// across examples once the capacity is warm.
 #[derive(Clone, Debug, Default)]
 pub struct GradBuffer {
     /// The centre row index (into `W_in`).
     pub center: NodeId,
-    /// `∂L/∂v_center` (Eq. 7).
+    /// `∂L/∂v_center` (Eq. 7), unclipped.
     pub grad_center: Vec<f64>,
-    /// Unique `W_out` rows touched.
+    /// `v_i`: the centre row the gradient was taken at.
+    v_center: Vec<f64>,
+    /// The example's proximity weight `p_ij`.
+    p: f64,
+    /// Each term's inner product `v_t·v_i`: the positive's, then the
+    /// negatives' in order.
+    inner: Vec<f64>,
+    /// Unique `W_out` rows touched, in first-appearance order.
     ctx_rows: Vec<NodeId>,
-    /// Parallel gradients (Eq. 8), accumulated over duplicates.
-    ctx_grads: Vec<Vec<f64>>,
-    used: usize,
+    /// Their unclipped gradients (Eq. 8), parallel to `ctx_rows`.
+    ctx: Vec<CtxGrad>,
+    /// `dim`-rows of the context rows that several terms share.
+    merged: Vec<f64>,
+    /// The clip factor: 1 until [`GradBuffer::clip`] scales.
+    factor: f64,
+}
+
+/// One unique context row's unclipped gradient.
+#[derive(Clone, Copy, Debug)]
+enum CtxGrad {
+    /// One term's row, `err · v_i`.
+    Scaled(f64),
+    /// A row several terms share: row `m` of `merged`, the sum
+    /// `0 + e₁·v_i + e₂·v_i + …` an axpy per term writes.
+    Merged(usize),
 }
 
 impl GradBuffer {
@@ -145,67 +157,121 @@ impl GradBuffer {
         Self::default()
     }
 
-    fn reset(&mut self, center: NodeId, dim: usize) {
+    fn reset(&mut self, center: NodeId, vi: &[f64], p: f64, terms: usize) {
         self.center = center;
         self.grad_center.clear();
-        self.grad_center.resize(dim, 0.0);
-        self.used = 0;
+        self.grad_center.resize(vi.len(), 0.0);
+        self.v_center.clear();
+        self.v_center.extend_from_slice(vi);
+        self.p = p;
+        self.inner.resize(terms, 0.0);
+        self.ctx_rows.clear();
+        self.ctx.clear();
+        self.merged.clear();
+        self.factor = 1.0;
     }
 
-    fn accumulate_ctx(&mut self, row: NodeId, err: f64, vi: &[f64], dim: usize) {
+    fn accumulate_ctx(&mut self, row: NodeId, err: f64) {
         // Linear scan over ≤ k+1 entries beats a hash map at k ≈ 5.
-        for idx in 0..self.used {
-            if self.ctx_rows[idx] == row {
-                vector::axpy(err, vi, &mut self.ctx_grads[idx]);
-                return;
-            }
-        }
-        if self.used == self.ctx_rows.len() {
+        let Some(u) = self.ctx_rows.iter().position(|&r| r == row) else {
             self.ctx_rows.push(row);
-            self.ctx_grads.push(vec![0.0; dim]);
-        } else {
-            self.ctx_rows[self.used] = row;
-            self.ctx_grads[self.used].clear();
-            self.ctx_grads[self.used].resize(dim, 0.0);
+            self.ctx.push(CtxGrad::Scaled(err));
+            return;
+        };
+        let dim = self.v_center.len();
+        let m = match self.ctx[u] {
+            CtxGrad::Merged(m) => m,
+            CtxGrad::Scaled(first) => {
+                let m = self.merged.len() / dim;
+                self.merged.resize((m + 1) * dim, 0.0);
+                vector::axpy(first, &self.v_center, &mut self.merged[m * dim..]);
+                self.ctx[u] = CtxGrad::Merged(m);
+                m
+            }
+        };
+        vector::axpy(
+            err,
+            &self.v_center,
+            &mut self.merged[m * dim..(m + 1) * dim],
+        );
+    }
+
+    /// Row `u`'s unclipped gradient as `coef · source`.
+    fn ctx_grad(&self, u: usize) -> (f64, &[f64]) {
+        let dim = self.v_center.len();
+        match self.ctx[u] {
+            CtxGrad::Scaled(err) => (err, &self.v_center),
+            CtxGrad::Merged(m) => (1.0, &self.merged[m * dim..(m + 1) * dim]),
         }
-        vector::axpy(err, vi, &mut self.ctx_grads[self.used]);
-        self.used += 1;
     }
 
     /// Touched `W_out` rows.
     pub fn ctx_rows(&self) -> &[NodeId] {
-        &self.ctx_rows[..self.used]
+        &self.ctx_rows
     }
 
-    /// Gradients parallel to [`GradBuffer::ctx_rows`].
-    pub fn ctx_grads(&self) -> &[Vec<f64>] {
-        &self.ctx_grads[..self.used]
-    }
-
-    /// Joint ℓ2 norm of the whole per-example gradient.
-    pub fn joint_norm(&self) -> f64 {
-        let mut sq = vector::norm2_sq(&self.grad_center);
-        for g in self.ctx_grads() {
-            sq += vector::norm2_sq(g);
+    /// The example's proximity-weighted loss (Eq. 5), from the inner
+    /// products the gradient was taken with: bit for bit
+    /// [`SkipGramModel::loss`] at that model.
+    ///
+    /// # Panics
+    /// Panics if no example has been computed into the buffer.
+    pub fn loss(&self) -> f64 {
+        let (&pos, negs) = self
+            .inner
+            .split_first()
+            .expect("loss of an example: call example_grad first");
+        let p = self.p;
+        let mut l = -p * vector::log_sigmoid(pos);
+        for &x in negs {
+            l -= p * vector::log_sigmoid(-x);
         }
-        sq.sqrt()
+        l
+    }
+
+    /// Squared joint ℓ2 norm of the unclipped gradient: the centre
+    /// row's partial sum, then each context row's in
+    /// [`GradBuffer::ctx_rows`] order, each as [`vector::norm2_sq`]
+    /// sums the written-out row.
+    fn norm_sq(&self) -> f64 {
+        let mut sq = vector::norm2_sq(&self.grad_center);
+        for u in 0..self.ctx.len() {
+            let (coef, source) = self.ctx_grad(u);
+            sq += vector::norm2_sq_scaled(coef, source);
+        }
+        sq
+    }
+
+    /// Joint ℓ2 norm of the whole per-example gradient, clipped.
+    pub fn joint_norm(&self) -> f64 {
+        self.factor * self.norm_sq().sqrt()
     }
 
     /// Clips the whole per-example gradient to joint norm `c`
     /// (DPSGD's `Clip`, applied to the multi-row gradient). Returns
-    /// the scale factor.
+    /// the scale factor, which the `add_*` methods apply.
     pub fn clip(&mut self, c: f64) -> f64 {
         assert!(c > 0.0, "clip threshold must be positive");
-        let norm = self.joint_norm();
-        if norm > c {
-            let f = c / norm;
-            vector::scale(f, &mut self.grad_center);
-            for idx in 0..self.used {
-                vector::scale(f, &mut self.ctx_grads[idx]);
-            }
-            f
-        } else {
-            1.0
+        let norm = self.norm_sq().sqrt();
+        self.factor = if norm > c { c / norm } else { 1.0 };
+        self.factor
+    }
+
+    /// Adds the clipped `∂L/∂v_center` to `out`.
+    pub fn add_center(&self, out: &mut [f64]) {
+        vector::axpy(self.factor, &self.grad_center, out);
+    }
+
+    /// Adds the clipped gradient of context row `u` (an index into
+    /// [`GradBuffer::ctx_rows`]) to `out`. Each element is the
+    /// written-out row's element times the clip factor, as if the row
+    /// had been scaled in place and then added.
+    pub fn add_ctx(&self, u: usize, out: &mut [f64]) {
+        let (coef, source) = self.ctx_grad(u);
+        let f = self.factor;
+        debug_assert_eq!(out.len(), source.len(), "add_ctx: length mismatch");
+        for (o, v) in out.iter_mut().zip(source) {
+            *o += (coef * v) * f;
         }
     }
 }
@@ -233,6 +299,76 @@ mod tests {
             edge_index: 0,
         };
         (m, sg)
+    }
+
+    /// Context row `idx`'s gradient, clipped, written out.
+    fn ctx_grad(buf: &GradBuffer, idx: usize) -> Vec<f64> {
+        let mut out = vec![0.0; buf.grad_center.len()];
+        buf.add_ctx(idx, &mut out);
+        out
+    }
+
+    #[test]
+    fn buffer_matches_the_written_out_gradient_bit_for_bit() {
+        // dim 7: every dot and norm has a tail past its lane chunk. One
+        // subgraph repeats a negative; the other repeats its positive
+        // twice among the negatives, merging three terms into a row.
+        let mut rng = StdRng::seed_from_u64(5);
+        let m = SkipGramModel::new(6, 7, &mut rng);
+        let sgs = [
+            Subgraph {
+                center: 0,
+                positive: 1,
+                negatives: vec![2, 3, 2, 4],
+                edge_index: 0,
+            },
+            Subgraph {
+                center: 5,
+                positive: 1,
+                negatives: vec![1, 3, 1],
+                edge_index: 1,
+            },
+        ];
+        let mut buf = GradBuffer::new();
+        for sg in &sgs {
+            for (p, c) in [(0.8, 100.0), (40.0, 0.05)] {
+                m.example_grad(sg, p, &mut buf);
+                assert_eq!(buf.loss().to_bits(), m.loss(sg, p).to_bits());
+                // The reference: every context row materialised as an
+                // axpy per term onto zeros, then the joint norm over the
+                // centre row and those rows.
+                let vi = m.w_in.row(sg.center as usize);
+                let terms = std::iter::once((sg.positive, 1.0))
+                    .chain(sg.negatives.iter().map(|&n| (n, 0.0)));
+                let mut rows: Vec<(NodeId, Vec<f64>)> = Vec::new();
+                for (row, label) in terms {
+                    let err = p * (vector::sigmoid(m.inner(sg.center, row)) - label);
+                    if !rows.iter().any(|(r, _)| *r == row) {
+                        rows.push((row, vec![0.0; m.dim()]));
+                    }
+                    let (_, g) = rows.iter_mut().find(|(r, _)| *r == row).unwrap();
+                    vector::axpy(err, vi, g);
+                }
+                let mut sq = vector::norm2_sq(&buf.grad_center);
+                for (_, g) in &rows {
+                    sq += vector::norm2_sq(g);
+                }
+                let norm = sq.sqrt();
+                let f = if norm > c { c / norm } else { 1.0 };
+                assert_eq!(buf.clip(c).to_bits(), f.to_bits(), "p={p}");
+                assert_eq!(buf.ctx_rows().len(), rows.len());
+                for (idx, (row, g)) in rows.iter().enumerate() {
+                    assert_eq!(buf.ctx_rows()[idx], *row);
+                    // Scaled in place only when clipped, then added.
+                    let want: Vec<u64> = g
+                        .iter()
+                        .map(|&v| (0.0 + if f < 1.0 { v * f } else { v }).to_bits())
+                        .collect();
+                    let got: Vec<u64> = ctx_grad(&buf, idx).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "row {row}, p={p}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -307,7 +443,7 @@ mod tests {
         m.example_grad(&sg, p, &mut buf);
         let h = 1e-6;
         for (idx, &row) in buf.ctx_rows().iter().enumerate() {
-            for d in 0..m.dim() {
+            for (d, &analytic) in ctx_grad(&buf, idx).iter().enumerate() {
                 let orig = m.w_out.get(row as usize, d);
                 m.w_out.set(row as usize, d, orig + h);
                 let lp = m.loss(&sg, p);
@@ -315,7 +451,6 @@ mod tests {
                 let lm = m.loss(&sg, p);
                 m.w_out.set(row as usize, d, orig);
                 let fd = (lp - lm) / (2.0 * h);
-                let analytic = buf.ctx_grads()[idx][d];
                 assert!(
                     (fd - analytic).abs() < 1e-6,
                     "row {row} dim {d}: fd {fd} vs analytic {analytic}"
@@ -352,13 +487,9 @@ mod tests {
         let mut buf = GradBuffer::new();
         for _ in 0..20 {
             m.example_grad(&sg, p, &mut buf);
-            let center = buf.center;
-            let grad_center = buf.grad_center.clone();
-            let rows: Vec<_> = buf.ctx_rows().to_vec();
-            let grads: Vec<_> = buf.ctx_grads().to_vec();
-            m.sgd_update_in(center, 0.1, &grad_center);
-            for (row, g) in rows.iter().zip(&grads) {
-                m.sgd_update_out(*row, 0.1, g);
+            vector::axpy(-0.1, &buf.grad_center, m.w_in.row_mut(buf.center as usize));
+            for (idx, &row) in buf.ctx_rows().iter().enumerate() {
+                vector::axpy(-0.1, &ctx_grad(&buf, idx), m.w_out.row_mut(row as usize));
             }
         }
         let after = m.loss(&sg, p);

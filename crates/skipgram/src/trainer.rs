@@ -31,19 +31,29 @@
 //! - a model-independent **producer**: sample the batch from the run
 //!   RNG, regenerate its subgraphs from [`SubgraphGen`], give each
 //!   touched row of `W_in`/`W_out` a *slot* (its first-touch index in
-//!   the step), record every example's centre slot and context slots,
-//!   write the `NonZero` noise rows into recycled slabs in slot order,
-//!   and record the RNG state after the draw;
-//! - a model-dependent **consumer**: charge the accountant, compute and
-//!   clip each example's gradient, reduce them in batch order into two
-//!   *slabs* of one `r`-row per slot, add the noise, update, and
-//!   checkpoint (with the consumed step's RNG state).
+//!   the step), record every example's centre slot and context slots
+//!   and each slot's *last touch* (the batch index of the last example
+//!   that touches its row), write the `NonZero` noise rows into
+//!   recycled slabs in slot order, and record the RNG state after the
+//!   draw;
+//! - a model-dependent **consumer**: charge the accountant, then make
+//!   one pass over the batch. Each example takes its `k+1` inner
+//!   products once ([`GradBuffer`]); its final-epoch loss, gradient and
+//!   clip all read them. Its clipped rows are added into two *slabs*
+//!   of one `r`-row per slot, and a row that has had its last touch is
+//!   perturbed and updated right away. Last, checkpoint (with the
+//!   consumed step's RNG state).
 //!
 //! A per-example gradient is non-zero on one `W_in` row and at most
 //! `k+1` `W_out` rows, so a step touches at most `B·(k+2)` rows and
 //! its slabs stay small (896 KiB at the paper's defaults) whatever
-//! `|V|`. Each slab row starts at zero and takes its row's additions
-//! in batch order, so no slot assignment changes a bit of the update.
+//! `|V|`. Each slab row is zeroed at its first touch and takes its
+//! row's additions in batch order, so no slot assignment changes a bit
+//! of the update. Updating a row at its last touch changes none
+//! either: within a step, `W_in[c]` is read only by the examples
+//! centred on `c` and `W_out[n]` only by those with `n` among their
+//! contexts — exactly the row's touches — so every example still sees
+//! the step-start model.
 //!
 //! With two or more threads the producer runs on a scoped thread up
 //! to three steps ahead, behind a two-slot channel; with one thread
@@ -51,7 +61,8 @@
 //! step bundles in the same order, so every output is bit-identical
 //! for any thread count. The `Naive` ablation perturbs all `|V|` rows,
 //! so the consumer draws its keyed rows inline rather than have the
-//! producer fill an `O(|V|·r)` slab per step.
+//! producer fill an `O(|V|·r)` slab per step: a touched row's at its
+//! update, every other row's after the batch.
 
 use crate::model::{GradBuffer, SkipGramModel};
 use crate::perturb::PerturbStrategy;
@@ -243,10 +254,12 @@ impl TrainConfig {
     /// its whole run on a graph of `num_nodes` nodes, at any thread
     /// count: both model matrices, the producer's two `u32` row → slot
     /// maps, and the step slabs. A step touches at most `B·(k+2)` rows;
-    /// the consumer's gradient slabs hold one `r`-row per touched row,
-    /// and so do the `NonZero` noise slabs of each of the (at most
-    /// four) step bundles in flight. The bundles' `O(B·k)` row indices
-    /// are left out.
+    /// the consumer's gradient slabs grow to one `r`-row per slot of the
+    /// step that touches the most rows, and the `NonZero` noise slabs of
+    /// each of the (at most four) step bundles in flight hold one
+    /// `r`-row per touched row. The bundles' `O(B·k)` row indices and
+    /// last-touch marks, and the consumer's per-example buffers, are
+    /// left out.
     pub fn resident_bytes(&self, num_nodes: usize) -> u64 {
         let row = self.dim * 8;
         let slab = self.batch_size * (self.negatives + 2) * row;
@@ -466,6 +479,7 @@ impl Trainer {
             model: initial.unwrap_or(fresh),
             slab_in: Vec::new(),
             slab_out: Vec::new(),
+            noise_row: vec![0.0; cfg.dim],
             buf: GradBuffer::new(),
             accountant: cfg.strategy.is_private().then(|| {
                 BudgetedAccountant::new(
@@ -602,6 +616,11 @@ struct StepBundle {
     touched_in: Vec<NodeId>,
     /// `W_out` rows the batch touches, in first-touch order.
     touched_out: Vec<NodeId>,
+    /// Per `touched_in` slot: the batch index of the last example that
+    /// touches the row, after which the consumer updates it.
+    last_in: Vec<u32>,
+    /// Per `touched_out` slot: the batch index of its last touch.
+    last_out: Vec<u32>,
     /// Each example's centre slot, in batch order.
     center_slots: Vec<u32>,
     /// Each example's unique context slots, in batch order and, within
@@ -655,21 +674,29 @@ impl Producer<'_> {
         b.batch.clear();
         b.touched_in.clear();
         b.touched_out.clear();
+        b.last_in.clear();
+        b.last_out.clear();
         b.center_slots.clear();
         b.ctx_slots.clear();
-        for i in idx.iter() {
+        for (j, i) in (0u32..).zip(idx.iter()) {
             let sg = self.subgraphs.generate(i);
+            let (ins, outs) = (&mut self.in_slots, &mut self.out_slots);
             b.center_slots
-                .push(slot(&mut self.in_slots, &mut b.touched_in, sg.center));
-            b.ctx_slots
-                .push(slot(&mut self.out_slots, &mut b.touched_out, sg.positive));
+                .push(slot(ins, &mut b.touched_in, &mut b.last_in, sg.center, j));
+            b.ctx_slots.push(slot(
+                outs,
+                &mut b.touched_out,
+                &mut b.last_out,
+                sg.positive,
+                j,
+            ));
             for (t, &n) in sg.negatives.iter().enumerate() {
                 // `GradBuffer` merges a repeated context row into its
                 // first appearance; skip repeats so the slots line up
                 // with its rows.
                 if n != sg.positive && !sg.negatives[..t].contains(&n) {
                     b.ctx_slots
-                        .push(slot(&mut self.out_slots, &mut b.touched_out, n));
+                        .push(slot(outs, &mut b.touched_out, &mut b.last_out, n, j));
                 }
             }
             b.batch.push(sg);
@@ -701,14 +728,23 @@ impl Producer<'_> {
     }
 }
 
-/// `row`'s slot this step, appending `row` to `touched` (and so
-/// giving it the next slot) on its first touch.
-fn slot(slots: &mut [u32], touched: &mut Vec<NodeId>, row: NodeId) -> u32 {
+/// `row`'s slot this step, as example `j` touches it: appends `row` to
+/// `touched` (and so gives it the next slot) on its first touch, and
+/// records `j` as the slot's last touch so far.
+fn slot(
+    slots: &mut [u32],
+    touched: &mut Vec<NodeId>,
+    last: &mut Vec<u32>,
+    row: NodeId,
+    j: u32,
+) -> u32 {
     let s = &mut slots[row as usize];
     if *s == NO_SLOT {
         *s = touched.len() as u32;
         touched.push(row);
+        last.push(j);
     }
+    last[*s as usize] = j;
     *s
 }
 
@@ -726,9 +762,12 @@ struct Consumer<'a, 's> {
     fingerprint: u64,
     model: SkipGramModel,
     /// The step's summed clipped gradients, one `dim`-row per slot of
-    /// `touched_in` / `touched_out`; zeroed at the start of each step.
+    /// `touched_in` / `touched_out`; a row is zeroed at its first touch
+    /// in a step.
     slab_in: Vec<f64>,
     slab_out: Vec<f64>,
+    /// One `Naive` noise row.
+    noise_row: Vec<f64>,
     buf: GradBuffer,
     accountant: Option<BudgetedAccountant>,
     sink: Option<CheckpointSink<'s>>,
@@ -757,41 +796,54 @@ impl Consumer<'_, '_> {
             (&mut self.slab_in, b.touched_in.len()),
             (&mut self.slab_out, b.touched_out.len()),
         ] {
-            slab.clear();
-            slab.resize(rows * dim, 0.0);
+            if slab.len() < rows * dim {
+                slab.resize(rows * dim, 0.0);
+            }
         }
-        // Per-example gradients, clipped, reduced in batch order.
+        // Per-example gradients, clipped, reduced in batch order; each
+        // row is updated right after its last touch. Slots are numbered
+        // in first-touch order, so a slot's first touch is where it
+        // equals the count of slots seen so far.
+        let (mut seen_in, mut seen_out) = (0, 0);
         let mut ctx_slots = b.ctx_slots.iter();
-        for (sg, &center) in b.batch.iter().zip(&b.center_slots) {
+        for (j, (sg, &center)) in (0u32..).zip(b.batch.iter().zip(&b.center_slots)) {
             let p = self.prox.weights[sg.edge_index];
+            self.model.example_grad(sg, p, &mut self.buf);
             if final_epoch {
-                self.loss.0 += self.model.loss(sg, p);
+                self.loss.0 += self.buf.loss();
                 self.loss.1 += 1;
             }
-            let buf = &mut self.buf;
-            self.model.example_grad(sg, p, buf);
-            buf.clip(cfg.clip);
-            vector::axpy(
-                1.0,
-                &buf.grad_center,
-                slab_row(&mut self.slab_in, center, dim),
-            );
-            let ctx = buf.ctx_rows().iter().zip(buf.ctx_grads());
-            for ((&row, grad), &slot) in ctx.zip(ctx_slots.by_ref()) {
-                debug_assert_eq!(b.touched_out[slot as usize], row, "slot of another row");
-                vector::axpy(1.0, grad, slab_row(&mut self.slab_out, slot, dim));
+            self.buf.clip(cfg.clip);
+            let row = touch(&mut self.slab_in, center, &mut seen_in, dim);
+            self.buf.add_center(row);
+            if b.last_in[center as usize] == j {
+                self.update(b, W_IN, center);
+            }
+            for u in 0..self.buf.ctx_rows().len() {
+                let slot = *ctx_slots.next().expect("a slot per context row");
+                debug_assert_eq!(
+                    b.touched_out[slot as usize],
+                    self.buf.ctx_rows()[u],
+                    "slot of another row"
+                );
+                let row = touch(&mut self.slab_out, slot, &mut seen_out, dim);
+                self.buf.add_ctx(u, row);
+                if b.last_out[slot as usize] == j {
+                    self.update(b, W_OUT, slot);
+                }
             }
         }
         debug_assert_eq!(ctx_slots.len(), 0, "unused context slots");
-        // Lines 6–7: perturb and apply.
-        self.apply_update(b);
+        if cfg.strategy == PerturbStrategy::Naive {
+            self.perturb_untouched(b);
+        }
         self.steps_run += 1;
-        // Checkpoint at the step boundary: the slabs hold only this
-        // step's gradients and are re-zeroed before the next one, so
-        // the loop state is exactly (counters, RNG, loss, model,
-        // accountant) — everything TrainerState captures. `epochs_run`
-        // counts epochs finished before this step's, and
-        // `step_in_epoch` steps done inside it.
+        // Checkpoint at the step boundary: every touched row has been
+        // updated, and a slab row is zeroed at its first touch in the
+        // next step before anything reads it, so the loop state is
+        // exactly (counters, RNG, loss, model, accountant) — everything
+        // TrainerState captures. `epochs_run` counts epochs finished
+        // before this step's, and `step_in_epoch` steps done inside it.
         if let (Some(every), Some(sink)) = (cfg.checkpoint_every, self.sink.as_mut()) {
             if self.steps_run % every == 0 {
                 let accountant = self.accountant.as_ref();
@@ -816,60 +868,67 @@ impl Consumer<'_, '_> {
         Ok(true)
     }
 
-    /// Noise + SGD application for one batch, per the strategy.
-    fn apply_update(&mut self, b: &StepBundle) {
-        let (scale, std, dim) = (self.scale, self.noise_std, self.model.dim());
-        let model = &mut self.model;
-        let matrices = [
-            (
-                W_IN,
+    /// Lines 6–7 for one touched row, right after its last touch in
+    /// the step: perturbs slot `slot`'s gradient row of `matrix` per
+    /// the strategy and applies the averaged update. No later example
+    /// of the step reads the row, so every example still sees the
+    /// step-start model.
+    fn update(&mut self, b: &StepBundle, matrix: u64, slot: u32) {
+        let dim = self.model.dim();
+        let (rows, noise, slab, w) = match matrix {
+            W_IN => (
                 &b.touched_in,
                 &b.noise_in,
                 &mut self.slab_in,
-                &mut model.w_in,
+                &mut self.model.w_in,
             ),
-            (
-                W_OUT,
+            _ => (
                 &b.touched_out,
                 &b.noise_out,
                 &mut self.slab_out,
-                &mut model.w_out,
+                &mut self.model.w_out,
             ),
-        ];
+        };
+        let row = rows[slot as usize];
+        let grad = slab_row(slab, slot, dim);
         match self.cfg.strategy {
-            PerturbStrategy::None | PerturbStrategy::NonZero => {
-                // Update (and, for NonZero, perturb) only touched rows;
-                // the noise slabs are empty without noise.
-                for (_, rows, noise, slab, w) in matrices {
-                    let grads = slab.chunks_exact_mut(dim);
-                    for (j, (&row, grad)) in rows.iter().zip(grads).enumerate() {
-                        if let Some(noise) = noise.get(j * dim..(j + 1) * dim) {
-                            vector::axpy(1.0, noise, grad);
-                        }
-                        vector::axpy(scale, grad, w.row_mut(row as usize));
-                    }
-                }
+            PerturbStrategy::None => {}
+            PerturbStrategy::NonZero => {
+                vector::axpy(1.0, &noise[slot as usize * dim..][..dim], grad)
             }
             PerturbStrategy::Naive => {
-                // Every row of both gradient matrices is perturbed
-                // (Fig. 2(c)), including rows whose gradient is zero.
-                // Those take their noise alone: adding a zero gradient
-                // row would change no bit, as no ziggurat deviate is
-                // -0.0.
-                let mut noise_row = vec![0.0f64; dim];
-                for (matrix, rows, _, slab, w) in matrices {
-                    let mut by_row: Vec<(NodeId, u32)> = rows.iter().copied().zip(0..).collect();
-                    by_row.sort_unstable();
-                    let mut touched = by_row.into_iter().peekable();
-                    for row in 0..w.rows() {
-                        self.keys
-                            .fill_row(b.step, matrix, row as u64, &mut noise_row, std);
-                        if let Some((_, j)) = touched.next_if(|&(r, _)| r as usize == row) {
-                            vector::axpy(1.0, slab_row(slab, j, dim), &mut noise_row);
-                        }
-                        vector::axpy(scale, &noise_row, w.row_mut(row));
-                    }
+                let noise = &mut self.noise_row;
+                self.keys
+                    .fill_row(b.step, matrix, row as u64, noise, self.noise_std);
+                vector::axpy(1.0, noise, grad);
+            }
+        }
+        vector::axpy(self.scale, grad, w.row_mut(row as usize));
+    }
+
+    /// `Naive` perturbs every row of both gradient matrices (Fig. 2(c)),
+    /// including rows whose gradient is zero. The touched rows took
+    /// their noise in [`Consumer::update`]; the rest take their noise
+    /// alone here, since adding a zero gradient row would change no bit,
+    /// as no ziggurat deviate is -0.0. Noise rows are keyed, so the
+    /// order of the draws changes none of them.
+    fn perturb_untouched(&mut self, b: &StepBundle) {
+        let (scale, std) = (self.scale, self.noise_std);
+        let model = &mut self.model;
+        for (matrix, rows, w) in [
+            (W_IN, &b.touched_in, &mut model.w_in),
+            (W_OUT, &b.touched_out, &mut model.w_out),
+        ] {
+            let mut touched = rows.clone();
+            touched.sort_unstable();
+            let mut touched = touched.into_iter().peekable();
+            for row in 0..w.rows() {
+                if touched.next_if_eq(&(row as NodeId)).is_some() {
+                    continue;
                 }
+                let noise = &mut self.noise_row;
+                self.keys.fill_row(b.step, matrix, row as u64, noise, std);
+                vector::axpy(scale, noise, w.row_mut(row));
             }
         }
     }
@@ -877,8 +936,19 @@ impl Consumer<'_, '_> {
 
 /// Slot `j`'s row of a `dim`-wide slab.
 fn slab_row(slab: &mut [f64], j: u32, dim: usize) -> &mut [f64] {
-    let start = j as usize * dim;
-    &mut slab[start..start + dim]
+    &mut slab[j as usize * dim..][..dim]
+}
+
+/// Slot `j`'s row of a `dim`-wide slab for one more touch, zeroed
+/// first at the slot's first touch in the step: where `j` equals the
+/// count of slots `seen` so far, which it then advances.
+fn touch<'s>(slab: &'s mut [f64], j: u32, seen: &mut u32, dim: usize) -> &'s mut [f64] {
+    let row = slab_row(slab, j, dim);
+    if j == *seen {
+        row.fill(0.0);
+        *seen += 1;
+    }
+    row
 }
 
 /// Convenience: builds the default-config trainer, computes the
