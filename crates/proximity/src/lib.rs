@@ -342,9 +342,10 @@ mod tests {
 
     #[test]
     fn compute_blocked_is_bit_identical_to_materialised() {
-        // The banded edge path equals edge lookups into the whole
-        // matrix, bit for bit: within one band (karate_ish) and across
-        // several bands plus a remainder (the ring).
+        // The edge path, which reads each row's edges off its scratch
+        // row, equals edge lookups into the whole matrix, bit for bit:
+        // on a graph smaller than `BAND_ROWS` (karate_ish) and on one
+        // spanning several `BAND_ROWS` plus a remainder (the ring).
         for g in [karate_ish(), ring_with_chords(2 * band::BAND_ROWS + 3)] {
             for kind in MATRIX_KINDS {
                 let m = proximity_matrix_threads(&g, kind, Some(1));

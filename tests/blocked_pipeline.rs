@@ -1,15 +1,18 @@
 //! Determinism contract of the banded proximity path.
 //!
-//! Every matrix-backed proximity is built in row bands
-//! (`sp_proximity::band::RowBands`): `EdgeProximity::compute_threads`
-//! drains bands of `BAND_ROWS` rows, and `proximity_matrix_threads` is
-//! all rows as one band. This suite pins three promises:
+//! Every matrix-backed proximity comes from one row kernel
+//! (`sp_proximity::band::RowBands`) with two finishes:
+//! `proximity_matrix_threads` emits all rows as one band, and
+//! `EdgeProximity::compute_threads` builds no band at all — it reads
+//! each row's edge weights straight off the row's per-worker scratch.
+//! This suite pins three promises:
 //!
 //! - bands of *any* height and *any* thread count reassemble into the
 //!   bit-identical matrix, over `heights {1, 7, 64, n} × threads {1, 4}`
 //!   for all six matrix kinds;
-//! - the edge weights and `min(P)` read off the bands equal lookups
-//!   into the whole matrix, whatever the height of the last band;
+//! - the edge weights and `min(P)` read off the rows equal lookups
+//!   into the whole matrix, on graphs whose row count is one short of,
+//!   equal to, one over, and two and a bit times `BAND_ROWS`;
 //! - the memory claim itself: the largest band fits a cap that the
 //!   whole matrix exceeds.
 
@@ -106,7 +109,7 @@ fn banded_walk_matrices_match_materialized_for_all_heights_and_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Edge weights read off the bands
+// Edge weights read off the rows
 
 #[test]
 fn blocked_edge_proximity_matches_materialized_for_all_heights_and_threads() {
