@@ -681,22 +681,16 @@ impl Producer<'_> {
         for (j, i) in (0u32..).zip(idx.iter()) {
             let sg = self.subgraphs.generate(i);
             let (ins, outs) = (&mut self.in_slots, &mut self.out_slots);
-            b.center_slots
-                .push(slot(ins, &mut b.touched_in, &mut b.last_in, sg.center, j));
-            b.ctx_slots.push(slot(
-                outs,
-                &mut b.touched_out,
-                &mut b.last_out,
-                sg.positive,
-                j,
-            ));
+            let (t_in, l_in) = (&mut b.touched_in, &mut b.last_in);
+            let (t_out, l_out) = (&mut b.touched_out, &mut b.last_out);
+            b.center_slots.push(slot(ins, t_in, l_in, sg.center, j));
+            b.ctx_slots.push(slot(outs, t_out, l_out, sg.positive, j));
             for (t, &n) in sg.negatives.iter().enumerate() {
                 // `GradBuffer` merges a repeated context row into its
                 // first appearance; skip repeats so the slots line up
                 // with its rows.
                 if n != sg.positive && !sg.negatives[..t].contains(&n) {
-                    b.ctx_slots
-                        .push(slot(outs, &mut b.touched_out, &mut b.last_out, n, j));
+                    b.ctx_slots.push(slot(outs, t_out, l_out, n, j));
                 }
             }
             b.batch.push(sg);
@@ -875,19 +869,20 @@ impl Consumer<'_, '_> {
     /// step-start model.
     fn update(&mut self, b: &StepBundle, matrix: u64, slot: u32) {
         let dim = self.model.dim();
-        let (rows, noise, slab, w) = match matrix {
-            W_IN => (
+        let (rows, noise, slab, w) = if matrix == W_IN {
+            (
                 &b.touched_in,
                 &b.noise_in,
                 &mut self.slab_in,
                 &mut self.model.w_in,
-            ),
-            _ => (
+            )
+        } else {
+            (
                 &b.touched_out,
                 &b.noise_out,
                 &mut self.slab_out,
                 &mut self.model.w_out,
-            ),
+            )
         };
         let row = rows[slot as usize];
         let grad = slab_row(slab, slot, dim);
@@ -936,7 +931,8 @@ impl Consumer<'_, '_> {
 
 /// Slot `j`'s row of a `dim`-wide slab.
 fn slab_row(slab: &mut [f64], j: u32, dim: usize) -> &mut [f64] {
-    &mut slab[j as usize * dim..][..dim]
+    let start = j as usize * dim;
+    &mut slab[start..start + dim]
 }
 
 /// Slot `j`'s row of a `dim`-wide slab for one more touch, zeroed
