@@ -17,9 +17,10 @@
 //! **Determinism contract:** every kernel's result depends only on its
 //! inputs — the lane count and fold order are compile-time constants,
 //! so results are bit-identical across runs, thread counts, and call
-//! sites. Reduction kernels (`dot`, `norm2_sq`, `dist2_sq`) define a
-//! *canonical* summation order: lane-strided partial sums folded as a
-//! fixed tree, then the scalar tail left to right. This order differs
+//! sites. Reduction kernels (`dot`, `dot_rows`, `norm2_sq`,
+//! `norm2_sq_scaled`, `dist2_sq`) define a *canonical* summation order:
+//! lane-strided partial sums folded as a fixed tree, then the scalar
+//! tail left to right. This order differs
 //! from the pre-lane single-accumulator order, so goldens pinned on the
 //! old order were re-pinned once (see `tests/parallel_determinism.rs`);
 //! per call the two orders agree to a few ulps (asserted below).

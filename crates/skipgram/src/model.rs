@@ -108,7 +108,7 @@ impl SkipGramModel {
             // The positive pair has label 1, the negatives label 0.
             let err = if t == 0 { p * (s - 1.0) } else { p * s };
             vector::axpy(err, self.w_out.row(row as usize), &mut buf.grad_center);
-            buf.accumulate_ctx(row, err);
+            buf.add_term(row, err);
         }
     }
 }
@@ -171,7 +171,9 @@ impl GradBuffer {
         self.factor = 1.0;
     }
 
-    fn accumulate_ctx(&mut self, row: NodeId, err: f64) {
+    /// Adds one term's Eq. 8 gradient `err · v_i` to context row `row`:
+    /// a new row keeps `err`; a repeated one is written out.
+    fn add_term(&mut self, row: NodeId, err: f64) {
         // Linear scan over ≤ k+1 entries beats a hash map at k ≈ 5.
         let Some(u) = self.ctx_rows.iter().position(|&r| r == row) else {
             self.ctx_rows.push(row);
