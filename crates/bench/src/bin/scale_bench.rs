@@ -8,7 +8,7 @@
 //! beside it), the degree alias table of Alg. 1's degree-proportional
 //! sampler, and the trainer, which regenerates every sampled subgraph
 //! on demand instead of holding `G_S`. Every resident and transient
-//! buffer is byte-accounted through one [`MemTracker`] — the
+//! buffer is byte-accounted through one [`ByteTally`] — the
 //! "self-tracked peak RSS" reported here, chosen over `/proc` because
 //! byte accounting is deterministic enough to gate in CI.
 //!
@@ -35,10 +35,9 @@
 
 use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
 use sp_bench::scale::{
-    compare_scale, parse_scale_tsv, ScaleGateOutcome, ScaleRow, SCALE_TSV_HEADER,
+    compare_scale, parse_scale_tsv, ByteTally, ScaleGateOutcome, ScaleRow, SCALE_TSV_HEADER,
 };
 use sp_graph::{Graph, GraphBuilder};
-use sp_mem::MemTracker;
 use sp_parallel::resolve_threads;
 use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{EdgeProximity, ProximityKind};
@@ -138,12 +137,12 @@ fn main() {
     );
 
     let mut failures: Vec<String> = Vec::new();
-    let tracker = MemTracker::new();
+    let mut tally = ByteTally::default();
     let t_start = Instant::now();
 
     // --- 1. Ingestion: edges arrive one at a time. ---
     let t0 = Instant::now();
-    let g = synthetic_graph(sc.nodes, sc.chords, &tracker);
+    let g = synthetic_graph(sc.nodes, sc.chords, &mut tally);
     let ingest_ms = t0.elapsed().as_millis();
     let graph_bytes = g.heap_bytes();
     println!(
@@ -175,10 +174,10 @@ fn main() {
     let t0 = Instant::now();
     let workers = resolve_threads(None) as u64;
     let edge_transient_bytes = (g.num_edges() * 8) as u64 + workers * bands.scratch_bytes();
-    tracker.add((g.num_edges() * 8) as u64);
-    tracker.add(edge_transient_bytes);
+    tally.add((g.num_edges() * 8) as u64);
+    tally.add(edge_transient_bytes);
     let prox = EdgeProximity::compute_threads(&g, ProximityKind::CommonNeighbors, None);
-    tracker.release(edge_transient_bytes);
+    tally.release(edge_transient_bytes);
     let proximity_ms = t0.elapsed().as_millis();
     let weights_bytes = (prox.len() * 8) as u64;
     println!(
@@ -196,10 +195,10 @@ fn main() {
     //        on demand. ---
     let t0 = Instant::now();
     let alias_bytes = (g.num_nodes() * (8 + 4)) as u64;
-    tracker.add(alias_bytes);
+    tally.add(alias_bytes);
     let cfg = sc.train_config();
     let trainer_resident_bytes = cfg.resident_bytes(g.num_nodes());
-    tracker.add(trainer_resident_bytes);
+    tally.add(trainer_resident_bytes);
     let (_, report) = Trainer::new(cfg).train(&g, &prox);
     let train_ms = t0.elapsed().as_millis();
     println!(
@@ -207,7 +206,7 @@ fn main() {
         report.steps_run, report.epochs_run, report.epsilon_spent, train_ms
     );
 
-    let blocked_peak_bytes = tracker.peak();
+    let blocked_peak_bytes = tally.peak();
     let wall_ns = t_start.elapsed().as_nanos() as u64;
     let bytes_per_edge = blocked_peak_bytes as f64 / g.num_edges() as f64;
     let materialized_peak_bytes = blocked_peak_bytes + materialized_p_bytes + materialized_gs_bytes;
@@ -315,9 +314,9 @@ fn count_row(metric: &str, count: usize) -> ScaleRow {
 /// Ring + chords: node `i` connects to `i+1` and to `i + stride_j`
 /// for `chords` fixed strides — bounded degree ≈ `2·(1 + chords)`,
 /// deterministic, and generated edge-by-edge so no edge list
-/// materialises outside the builder. `tracker` holds the builder's
+/// materialises outside the builder. `tally` holds the builder's
 /// queued edges until the graph is built, then the graph's heap.
-fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
+fn synthetic_graph(n: usize, chords: usize, tally: &mut ByteTally) -> Graph {
     let mut b = GraphBuilder::new(n);
     let strides: Vec<usize> = (1..=chords)
         .map(|j| ((j * n) / (chords + 3)).max(2) + j)
@@ -329,10 +328,10 @@ fn synthetic_graph(n: usize, chords: usize, tracker: &MemTracker) -> Graph {
         }
     }
     let queued = (b.pending_edges() * std::mem::size_of::<(u32, u32)>()) as u64;
-    tracker.add(queued);
+    tally.add(queued);
     let g = b.build();
-    tracker.release(queued);
-    tracker.add(g.heap_bytes());
+    tally.release(queued);
+    tally.add(g.heap_bytes());
     g
 }
 

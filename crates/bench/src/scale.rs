@@ -3,12 +3,50 @@
 //! `bench-gate` job.
 //!
 //! Unlike the kernel bench, the gated quantities here are
-//! **deterministic byte counts** from the [`sp_mem::MemTracker`]
-//! accounting of the blocked pipeline — not wall-clock medians — so
-//! the gate is meaningful even on a noisy shared runner. Rows with
+//! **deterministic byte counts** from the [`ByteTally`] accounting of
+//! the blocked pipeline — not wall-clock medians — so the gate is
+//! meaningful even on a noisy shared runner. Rows with
 //! `unit == "bytes"` gate the build; `unit == "ns"` rows (wall time)
 //! and `unit == "count"` rows are recorded for humans reading the
 //! artefact but never gate.
+
+/// Byte accounting for the blocked pipeline: `current` live tracked
+/// bytes and their `peak` high-water mark. The workspace forbids
+/// `unsafe`, so there is no allocator hook; the bench adds each
+/// buffer's size when it is allocated and releases it when it is
+/// dropped, which makes the peak a deterministic function of graph
+/// shape and band height.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ByteTally {
+    current: u64,
+    peak: u64,
+}
+
+impl ByteTally {
+    /// Accounts `bytes` as live.
+    pub fn add(&mut self, bytes: u64) {
+        self.current += bytes;
+        self.peak = self.peak.max(self.current);
+    }
+
+    /// Releases `bytes` previously accounted with [`ByteTally::add`].
+    pub fn release(&mut self, bytes: u64) {
+        self.current = self
+            .current
+            .checked_sub(bytes)
+            .expect("released more bytes than were added");
+    }
+
+    /// Bytes accounted as live right now.
+    pub fn current(&self) -> u64 {
+        self.current
+    }
+
+    /// High-water mark of [`ByteTally::current`].
+    pub fn peak(&self) -> u64 {
+        self.peak
+    }
+}
 
 /// One recorded scale metric, i.e. one TSV row.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,6 +164,20 @@ mod tests {
             unit: unit.into(),
             value,
         }
+    }
+
+    #[test]
+    fn peak_is_high_water_mark() {
+        let mut t = ByteTally::default();
+        t.add(100);
+        t.add(50);
+        assert_eq!(t.current(), 150);
+        t.release(50);
+        assert_eq!(t.current(), 100);
+        assert_eq!(t.peak(), 150);
+        t.release(100);
+        assert_eq!(t.current(), 0);
+        assert_eq!(t.peak(), 150);
     }
 
     #[test]

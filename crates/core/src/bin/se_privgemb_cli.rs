@@ -12,11 +12,10 @@
 //! se_privgemb_cli query --model model.spm --node 3 --k 10 \
 //!     --ivf-nlist 32 --nprobe 4 --check-recall 0.9
 //! se_privgemb_cli query --model model.spm --link 3 17
-//!
-//! # Serve the model over TCP (SPSERVE 1 line protocol):
-//! se_privgemb_cli serve --model model.spm --listen 127.0.0.1:7878 \
-//!     --ivf-nlist 32 --nprobe 4 --max-conns 64
 //! ```
+//!
+//! To serve a published model over TCP, run `sp_served` (crate
+//! `sp_serve`).
 //!
 //! `--input` takes a SNAP/KONECT-style edge list — `u v` pairs split
 //! by spaces, tabs, or commas; `#`/`%` comments; arbitrary integer
@@ -35,14 +34,10 @@ use sp_datasets::PaperDataset;
 use sp_graph::io::ReadOptions;
 use sp_graph::Graph;
 use sp_model::{ModelFile, Provenance};
-use sp_serve::{
-    recall_at_k, EmbeddingStore, IvfConfig, IvfIndex, Server, ServerConfig, ServingStore,
-};
+use sp_serve::{recall_at_k, EmbeddingStore, IvfConfig, IvfIndex};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
@@ -97,14 +92,7 @@ fn usage() -> &'static str {
      \tTop-k nearest neighbours (or a link score) from a published model;\n\
      \t--check-recall compares the ANN answer against the exact oracle and\n\
      \tfails the process when recall@k drops below <min>. --nprobe and\n\
-     \t--check-recall only apply to the IVF path, so both require --ivf-nlist.\n\
-     \n\
-     usage: se_privgemb_cli serve --model <file.spm> --listen <addr:port>\n\
-     \t[--ivf-nlist <n> [--nprobe <p>]] [--max-conns 64] [--threads <n>]\n\
-     \t[--read-timeout-ms 30000] [--write-timeout-ms 10000]\n\
-     \tServe the model over TCP (SPSERVE 1 line protocol: TOPK/LINK/INFO/\n\
-     \tSTATS/RELOAD/QUIT/SHUTDOWN); SHUTDOWN drains in-flight requests and\n\
-     \texits 0."
+     \t--check-recall only apply to the IVF path, so both require --ivf-nlist."
 }
 
 fn parse_dataset(name: &str) -> Result<PaperDataset, String> {
@@ -302,99 +290,6 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
             "--check-recall requires --ivf-nlist (the exact path always has recall 1)\n{}",
             usage()
         ));
-    }
-    Ok(args)
-}
-
-struct ServeArgs {
-    model: PathBuf,
-    listen: String,
-    ivf_nlist: Option<usize>,
-    nprobe: Option<usize>,
-    max_conns: usize,
-    threads: Option<usize>,
-    read_timeout_ms: u64,
-    write_timeout_ms: u64,
-}
-
-fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        model: PathBuf::new(),
-        listen: String::new(),
-        ivf_nlist: None,
-        nprobe: None,
-        max_conns: 64,
-        threads: None,
-        read_timeout_ms: 30_000,
-        write_timeout_ms: 10_000,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        match flag {
-            "--model" => args.model = PathBuf::from(value(&mut i)?),
-            "--listen" => args.listen = value(&mut i)?,
-            "--ivf-nlist" => {
-                args.ivf_nlist = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--ivf-nlist: {e}"))?,
-                )
-            }
-            "--nprobe" => {
-                args.nprobe = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--nprobe: {e}"))?,
-                )
-            }
-            "--max-conns" => {
-                args.max_conns = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--max-conns: {e}"))?
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--read-timeout-ms" => {
-                args.read_timeout_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?
-            }
-            "--write-timeout-ms" => {
-                args.write_timeout_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?
-            }
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
-        }
-        i += 1;
-    }
-    if args.model.as_os_str().is_empty() {
-        return Err(format!("--model is required\n{}", usage()));
-    }
-    if args.listen.is_empty() {
-        return Err(format!("--listen is required\n{}", usage()));
-    }
-    if args.ivf_nlist.is_none() && args.nprobe.is_some() {
-        return Err(format!(
-            "--nprobe requires --ivf-nlist (it is the IVF probe count)\n{}",
-            usage()
-        ));
-    }
-    if args.max_conns == 0 {
-        return Err("--max-conns must be at least 1".to_string());
     }
     Ok(args)
 }
@@ -607,58 +502,10 @@ fn run_query(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_serve(argv: &[String]) -> Result<(), String> {
-    let args = parse_serve_args(argv)?;
-    let store = EmbeddingStore::open(&args.model)
-        .map_err(|e| format!("cannot load {}: {e}", args.model.display()))?;
-    let p = store.provenance();
-    eprintln!(
-        "loaded {}: {} nodes, dim {}, seed {}, ε {:.4}, δ {:.2e}",
-        args.model.display(),
-        store.num_nodes(),
-        store.dim(),
-        p.seed,
-        p.epsilon,
-        p.delta
-    );
-    let ivf = args.ivf_nlist.map(|nlist| IvfConfig {
-        nlist,
-        nprobe: args.nprobe.unwrap_or_else(|| nlist.div_ceil(4)),
-        ..IvfConfig::default()
-    });
-    let index = ivf.map(|cfg| IvfIndex::build(&store, cfg, args.threads));
-    let serving = Arc::new(ServingStore::new(store, index));
-    let config = ServerConfig {
-        max_conns: args.max_conns,
-        read_timeout: Duration::from_millis(args.read_timeout_ms),
-        write_timeout: Duration::from_millis(args.write_timeout_ms),
-        model_path: Some(args.model.clone()),
-        ivf,
-        threads: args.threads,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(args.listen.as_str(), serving, config)
-        .map_err(|e| format!("cannot listen on {}: {e}", args.listen))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| format!("cannot read bound address: {e}"))?;
-    println!(
-        "se_privgemb_cli serving on {addr} (SPSERVE {})",
-        sp_serve::protocol::PROTOCOL_VERSION
-    );
-    let report = server.run().map_err(|e| format!("server failed: {e}"))?;
-    println!(
-        "drained: {} requests ({} errors) over {} connections ({} rejected)",
-        report.requests, report.errors, report.connections, report.rejected
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match argv.first().map(String::as_str) {
         Some("query") => run_query(&argv[1..]),
-        Some("serve") => run_serve(&argv[1..]),
         _ => run_train(&argv),
     };
     match result {

@@ -7,9 +7,15 @@
 //! SE-PrivGEmb learns low-dimensional node vectors with three
 //! guarantees:
 //!
-//! 1. **Node-level Rényi DP**: the published embedding matrices are
-//!    the output of noisy SGD over skip-gram subgraphs, accounted with
-//!    the subsampled-Gaussian RDP bound and converted to `(ε, δ)`-DP;
+//! 1. **Rényi DP over the training examples**: the published embedding
+//!    matrices are the output of noisy SGD over skip-gram subgraphs,
+//!    accounted with the subsampled-Gaussian RDP bound (Theorem 4, at
+//!    `γ = B/|E|`) and converted to `(ε, δ)`-DP. The neighbouring
+//!    relation is *replace one element of `G_S`* — one edge's subgraph
+//!    with its pre-drawn negatives and proximity weight — with `|E|` and
+//!    every other element fixed. The paper claims node-level DP; the
+//!    accountant does not cover removing an edge or a node from the
+//!    input graph (see [`sp_dp::accountant`]);
 //! 2. **Noise tolerance**: only gradient rows actually touched by a
 //!    batch are perturbed (sensitivity `C` instead of the naive
 //!    `B·C`), which is what keeps utility alive at single-digit ε;
@@ -50,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attributes;
 pub mod pipeline;
 pub mod presets;
 
@@ -63,6 +68,5 @@ pub use sp_dp as dp;
 pub use sp_eval as eval;
 pub use sp_graph as graph;
 pub use sp_linalg as linalg;
-pub use sp_mem as mem;
 pub use sp_proximity as proximity;
 pub use sp_skipgram as skipgram;

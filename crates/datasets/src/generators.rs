@@ -134,39 +134,6 @@ pub fn holme_kim<R: Rng + ?Sized>(n: usize, m: usize, p_triad: f64, rng: &mut R)
     b.build()
 }
 
-/// Watts–Strogatz small world: ring lattice with `k` neighbours per
-/// side, each edge rewired with probability `p`.
-///
-/// # Panics
-/// Panics unless `1 <= k` and `2k + 1 <= n`.
-pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, p: f64, rng: &mut R) -> Graph {
-    assert!(k >= 1 && 2 * k < n, "WS: need 2k+1 <= n");
-    assert!((0.0..=1.0).contains(&p), "WS: p in [0,1]");
-    let mut b = GraphBuilder::new(n);
-    let mut existing = std::collections::HashSet::new();
-    for u in 0..n {
-        for off in 1..=k {
-            let v = (u + off) % n;
-            let (a, c) = (u.min(v) as NodeId, u.max(v) as NodeId);
-            if rng.gen::<f64>() < p {
-                // Rewire: keep u, pick a random non-duplicate endpoint.
-                for _ in 0..32 {
-                    let w = rng.gen_range(0..n as NodeId);
-                    let key = (w.min(u as NodeId), w.max(u as NodeId));
-                    if w as usize != u && !existing.contains(&key) {
-                        existing.insert(key);
-                        b.add_edge(key.0, key.1);
-                        break;
-                    }
-                }
-            } else if existing.insert((a, c)) {
-                b.add_edge(a, c);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Random recursive tree plus uniform shortcut edges: a connected,
 /// sparse, high-diameter graph — the power-grid shape.
 pub fn tree_plus_shortcuts<R: Rng + ?Sized>(n: usize, total_edges: usize, rng: &mut R) -> Graph {
@@ -285,22 +252,6 @@ mod tests {
             c_hk > 2.0 * c_ba,
             "HK clustering {c_hk} should far exceed BA {c_ba}"
         );
-    }
-
-    #[test]
-    fn ws_ring_structure_without_rewiring() {
-        let g = watts_strogatz(20, 2, 0.0, &mut rng(5));
-        assert_eq!(g.num_edges(), 40);
-        for v in 0..20u32 {
-            assert_eq!(g.degree(v), 4, "pure ring is 2k-regular");
-        }
-    }
-
-    #[test]
-    fn ws_rewiring_breaks_regularity() {
-        let g = watts_strogatz(200, 3, 0.3, &mut rng(6));
-        let degs = g.degrees();
-        assert!(degs.iter().any(|&d| d != 6), "rewiring should vary degrees");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! API takes a plain [`sp_graph::Graph`].
 //!
 //! - [`generators`]: Erdős–Rényi, Barabási–Albert, Holme–Kim
-//!   (power-law + clustering), Watts–Strogatz, and random-tree-plus-
-//!   shortcuts, all steerable to an exact edge count;
+//!   (power-law + clustering) and random-tree-plus-shortcuts, all
+//!   steerable to an exact edge count;
 //! - [`inflate`]: the RFC 1951/1952 DEFLATE + gzip format in pure
 //!   Rust (the build has no registry, so `flate2` cannot be vendored):
 //!   typed errors, Huffman decode tables, [`inflate::gunzip`];

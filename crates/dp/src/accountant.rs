@@ -6,6 +6,18 @@
 //! budget is reported back in (ε, δ) terms via the paper's Theorem 1:
 //! `(α, ε)-RDP ⇒ (ε + log(1/δ)/(α-1), δ)-DP`, optimised over a grid of
 //! integer orders.
+//!
+//! **The neighbouring relation this certifies.** The accountant
+//! composes Theorem 4's subsampled Gaussian at `γ = B/|E|` over the set
+//! `G_S` of training examples. An element of `G_S` is one edge's
+//! subgraph, with its pre-drawn negatives and its proximity weight. The
+//! analysis's neighbouring datasets differ by *replacing one element of
+//! `G_S`*, with `|E|` and every other element fixed; the spent `(ε, δ)`
+//! holds for that relation. It does not cover removing an edge or a
+//! node from the input graph: that changes `|E|` and so `γ`, the
+//! index-keyed negatives of every later edge, and every mean-normalised
+//! proximity weight. The paper claims node-level DP; this accountant
+//! does not certify it.
 
 use crate::rdp::subsampled_gaussian_rdp;
 
@@ -218,12 +230,11 @@ impl BudgetedAccountant {
         true
     }
 
-    /// Maximum number of epochs that fit the budget, computed without
-    /// mutating this accountant. Used by experiments to pre-size runs.
-    pub fn max_epochs(&self, cap: u64) -> u64 {
+    /// Maximum number of accountant steps (one per batch, i.e. one
+    /// subsampled-Gaussian mechanism each) that fit the budget, capped
+    /// at `cap` and computed without mutating this accountant.
+    pub fn max_steps(&self, cap: u64) -> u64 {
         // Per-step RDP is constant, so binary search over n.
-        let mut per_step = RdpAccountant::default();
-        per_step.step_subsampled_gaussian(self.gamma, self.sigma);
         let fits = |n: u64| -> bool {
             let mut acc = RdpAccountant::default();
             acc.step_many(self.gamma, self.sigma, n);
@@ -434,7 +445,7 @@ mod tests {
         let mut acc = BudgetedAccountant::new(b, 0.5, 0.7);
         assert!(!acc.try_step());
         assert_eq!(acc.steps(), 0);
-        assert_eq!(acc.max_epochs(1000), 0);
+        assert_eq!(acc.max_steps(1000), 0);
     }
 
     #[test]
@@ -443,23 +454,20 @@ mod tests {
         let sigma = 5.0;
         let small = BudgetedAccountant::new(PrivacyBudget::new(0.5, 1e-5), gamma, sigma);
         let large = BudgetedAccountant::new(PrivacyBudget::new(3.5, 1e-5), gamma, sigma);
-        let n_small = small.max_epochs(1_000_000);
-        let n_large = large.max_epochs(1_000_000);
+        let n_small = small.max_steps(1_000_000);
+        let n_large = large.max_steps(1_000_000);
         assert!(
             n_large > n_small,
-            "ε=3.5 must buy more epochs than ε=0.5 ({n_large} vs {n_small})"
+            "ε=3.5 must buy more steps than ε=0.5 ({n_large} vs {n_small})"
         );
-        assert!(
-            n_small > 0,
-            "even ε=0.5 affords some epochs in paper regime"
-        );
+        assert!(n_small > 0, "even ε=0.5 affords some steps in paper regime");
     }
 
     #[test]
     fn max_epochs_matches_try_step_loop() {
         let b = PrivacyBudget::new(0.8, 1e-5);
         let mut stepper = BudgetedAccountant::new(b, 0.05, 1.5);
-        let predicted = stepper.max_epochs(100_000);
+        let predicted = stepper.max_steps(100_000);
         let mut n = 0;
         while stepper.try_step() {
             n += 1;
@@ -470,12 +478,12 @@ mod tests {
     #[test]
     fn paper_regime_fits_full_training() {
         // σ=5, δ=1e-5, γ=128/31421: the paper trains 200 epochs for
-        // StrucEqu and 2000 for link prediction. Even ε=3.5 should
-        // allow well beyond 2000 epochs in this regime — the budget
-        // binds at small ε (this is what Figs. 3–4 vary).
+        // StrucEqu and 2000 for link prediction. ε=3.5 should allow at
+        // least 2000 accountant steps (batches) in this regime — the
+        // budget binds at small ε (this is what Figs. 3–4 vary).
         let gamma = 128.0 / 31421.0;
         let acc = BudgetedAccountant::new(PrivacyBudget::new(3.5, 1e-5), gamma, 5.0);
-        assert!(acc.max_epochs(1_000_000) >= 2000);
+        assert!(acc.max_steps(1_000_000) >= 2000);
     }
 
     #[test]

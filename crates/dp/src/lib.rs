@@ -7,9 +7,6 @@
 //! - [`noise`]: a 256-layer ziggurat standard-normal sampler, the
 //!   Gaussian mechanism that perturbs slices/rows, and counter-keyed
 //!   noise rows ([`NoiseKeys`]);
-//! - [`clip`]: ℓ2 clipping of per-example gradients that are spread
-//!   over several non-contiguous rows (the skip-gram case, where one
-//!   example touches `1` row of `W_in` and `k+1` rows of `W_out`);
 //! - [`rdp`]: Rényi-DP curves of the Gaussian mechanism and of the
 //!   *subsampled* Gaussian mechanism under sampling **without
 //!   replacement** (Wang, Balle, Kasiviswanathan 2019 — the paper's
@@ -26,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod accountant;
-pub mod clip;
 pub mod noise;
 pub mod rdp;
 

@@ -1,41 +1,10 @@
-//! Property-based tests for the DP substrate: clipping invariants and
-//! accountant monotonicity over randomly drawn parameter ranges.
+//! Property-based tests for the DP substrate: RDP curve and accountant
+//! monotonicity over randomly drawn parameter ranges.
 
 use proptest::prelude::*;
-use sp_dp::clip::{clip_parts, parts_norm};
 use sp_dp::{gaussian_rdp, subsampled_gaussian_rdp, RdpAccountant};
 
 proptest! {
-    #[test]
-    fn clipping_never_exceeds_threshold(
-        a in proptest::collection::vec(-50.0f64..50.0, 1..16),
-        b in proptest::collection::vec(-50.0f64..50.0, 1..16),
-        c in 0.01f64..20.0,
-    ) {
-        let mut a = a;
-        let mut b = b;
-        clip_parts(&mut [&mut a, &mut b], c);
-        prop_assert!(parts_norm(&[&a, &b]) <= c + 1e-9);
-    }
-
-    #[test]
-    fn clipping_is_idempotent(
-        a in proptest::collection::vec(-50.0f64..50.0, 1..16),
-        c in 0.01f64..20.0,
-    ) {
-        let mut once = a.clone();
-        clip_parts(&mut [&mut once], c);
-        let mut twice = once.clone();
-        // The first clip lands the norm at exactly c up to rounding; a
-        // second clip may rescale by 1 - O(ε_machine). Idempotence
-        // therefore holds to floating-point tolerance, not bit-for-bit.
-        let factor = clip_parts(&mut [&mut twice], c);
-        prop_assert!((factor - 1.0).abs() < 1e-9, "second clip factor {factor}");
-        for (x, y) in once.iter().zip(&twice) {
-            prop_assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()));
-        }
-    }
-
     #[test]
     fn gaussian_rdp_scales_linearly_in_alpha(alpha in 2.0f64..128.0, sigma in 0.5f64..20.0) {
         let e1 = gaussian_rdp(alpha, sigma);

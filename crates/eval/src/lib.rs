@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod auc;
-pub mod diagnostics;
 pub mod linkpred;
 pub mod strucequ;
 
@@ -31,16 +30,19 @@ use sp_linalg::{vector, DenseMatrix};
 /// Returns a copy of `emb` with every row scaled to unit ℓ2 norm
 /// (zero rows stay zero).
 ///
-/// The experiment harness evaluates **all** methods on row-normalised
-/// embeddings. Rationale: under noisy training, a node's embedding
-/// norm grows with how often its row was touched — i.e. with its
-/// degree — so *raw* Euclidean distances let any DP method score on
-/// accumulated noise magnitude alone, an artifact rather than learned
-/// structure (cosine-style evaluation is the node-embedding
-/// literature's standard guard against exactly this). The
-/// `norm_artifact` study (item 3 of `sp_bench`'s
-/// `experiments::ablation`, run by the `ablation_theory` bin) measures
-/// the effect.
+/// Why it matters: under noisy training, a node's embedding norm grows
+/// with how often its row was touched — i.e. with its degree — so
+/// *raw* Euclidean distances let any DP method score on accumulated
+/// noise magnitude alone, an artifact rather than learned structure
+/// (cosine-style evaluation is the node-embedding literature's standard
+/// guard against exactly this).
+///
+/// Only the `norm_artifact` study (item 3 of `sp_bench`'s
+/// `experiments::ablation`, run by the `ablation_theory` bin) scores
+/// row-normalised embeddings, next to raw ones, to measure the effect.
+/// The `fig3`, `fig4`, `table6` and `param_tables` experiments score
+/// raw rows; reporting both there is open work (ROADMAP.md, "Make the
+/// reproduction show the paper's utility").
 pub fn normalize_rows(emb: &DenseMatrix) -> DenseMatrix {
     let mut out = emb.clone();
     for r in 0..out.rows() {

@@ -1,33 +1,12 @@
-//! Graph traversal and structural statistics.
+//! Connected components and structural statistics.
 //!
 //! These are support algorithms: connected components validate the
-//! synthetic dataset generators (a power grid must be connected),
-//! BFS distances feed diagnostics, and the clustering coefficient
-//! distinguishes the Holme–Kim stand-in (clustered, like Arxiv) from
-//! plain Barabási–Albert.
+//! synthetic dataset generators (a power grid must be connected), the
+//! common-neighbour merge gives StrucEqu its adjacency-row distances,
+//! and the clustering coefficient distinguishes the Holme–Kim stand-in
+//! (clustered, like Arxiv) from plain Barabási–Albert.
 
 use crate::graph::{Graph, NodeId};
-use std::collections::VecDeque;
-
-/// Breadth-first distances from `source`; unreachable nodes get `None`.
-pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<Option<u32>> {
-    let n = g.num_nodes();
-    assert!((source as usize) < n, "bfs source out of bounds");
-    let mut dist = vec![None; n];
-    let mut q = VecDeque::new();
-    dist[source as usize] = Some(0);
-    q.push_back(source);
-    while let Some(v) = q.pop_front() {
-        let dv = dist[v as usize].unwrap();
-        for &u in g.neighbors(v) {
-            if dist[u as usize].is_none() {
-                dist[u as usize] = Some(dv + 1);
-                q.push_back(u);
-            }
-        }
-    }
-    dist
-}
 
 /// Connected-component labels (`0..k`) for every node, plus the count.
 pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
@@ -54,19 +33,9 @@ pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
     (label, next as usize)
 }
 
-/// Size of the largest connected component (0 for the empty graph).
-pub fn largest_component_size(g: &Graph) -> usize {
-    let (labels, k) = connected_components(g);
-    let mut sizes = vec![0usize; k];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 /// True when the graph is connected (vacuously true when empty).
 pub fn is_connected(g: &Graph) -> bool {
-    g.num_nodes() == 0 || largest_component_size(g) == g.num_nodes()
+    g.num_nodes() == 0 || connected_components(g).1 == 1
 }
 
 /// Number of common neighbours of `u` and `v` via sorted-list merge.
@@ -129,134 +98,6 @@ pub fn triangle_count(g: &Graph) -> usize {
     t / 3
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.num_nodes() {
-        hist[g.degree(v as NodeId)] += 1;
-    }
-    hist
-}
-
-/// Core numbers of every node (Batagelj–Zaveršnik peeling): the
-/// largest `k` such that the node belongs to a subgraph where every
-/// node has degree ≥ `k`. Used to validate that dataset stand-ins
-/// reproduce the target family's core structure (BA graphs have core
-/// number ≈ m; trees have core number 1).
-#[allow(clippy::needless_range_loop)] // index arithmetic is the point here
-pub fn core_numbers(g: &Graph) -> Vec<u32> {
-    let n = g.num_nodes();
-    let mut degree: Vec<usize> = g.degrees();
-    let max_d = degree.iter().copied().max().unwrap_or(0);
-    // Bucket sort nodes by degree.
-    let mut bins = vec![0usize; max_d + 2];
-    for &d in &degree {
-        bins[d] += 1;
-    }
-    let mut start = 0usize;
-    for d in 0..=max_d {
-        let count = bins[d];
-        bins[d] = start;
-        start += count;
-    }
-    let mut pos = vec![0usize; n];
-    let mut order = vec![0 as NodeId; n];
-    {
-        let mut cursor = bins.clone();
-        for v in 0..n {
-            let d = degree[v];
-            pos[v] = cursor[d];
-            order[cursor[d]] = v as NodeId;
-            cursor[d] += 1;
-        }
-    }
-    let mut core = vec![0u32; n];
-    for i in 0..n {
-        let v = order[i];
-        core[v as usize] = degree[v as usize] as u32;
-        for &u in g.neighbors(v) {
-            let du = degree[u as usize];
-            if du > degree[v as usize] {
-                // Move u one bucket down: swap with the first element
-                // of its current bucket.
-                let pu = pos[u as usize];
-                let pw = bins[du];
-                let w = order[pw];
-                if u != w {
-                    order.swap(pu, pw);
-                    pos[u as usize] = pw;
-                    pos[w as usize] = pu;
-                }
-                bins[du] += 1;
-                degree[u as usize] -= 1;
-            }
-        }
-    }
-    core
-}
-
-/// Degree assortativity (Pearson correlation of endpoint degrees over
-/// edges). Social networks are assortative (> 0), technological and
-/// BA-style networks disassortative-to-neutral — another stand-in
-/// validation statistic. Returns `None` when undefined (fewer than two
-/// edges or zero degree variance).
-pub fn degree_assortativity(g: &Graph) -> Option<f64> {
-    if g.num_edges() < 2 {
-        return None;
-    }
-    // Each undirected edge contributes both orientations, the standard
-    // convention for the Newman assortativity coefficient.
-    let mut xs = Vec::with_capacity(2 * g.num_edges());
-    let mut ys = Vec::with_capacity(2 * g.num_edges());
-    for &(u, v) in g.edges() {
-        let du = g.degree(u) as f64;
-        let dv = g.degree(v) as f64;
-        xs.push(du);
-        ys.push(dv);
-        xs.push(dv);
-        ys.push(du);
-    }
-    // Inline Pearson to avoid a dependency on sp-linalg.
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
-    for i in 0..xs.len() {
-        let (dx, dy) = (xs[i] - mx, ys[i] - my);
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return None;
-    }
-    Some(sxy / (sxx.sqrt() * syy.sqrt()))
-}
-
-/// Subgraph induced by `nodes` (relabelled to `0..nodes.len()` in the
-/// given order). Returns the subgraph and the old→new id map.
-///
-/// # Panics
-/// Panics if `nodes` contains duplicates or out-of-range ids.
-pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-    let mut new_id = vec![u32::MAX; g.num_nodes()];
-    for (new, &old) in nodes.iter().enumerate() {
-        assert!((old as usize) < g.num_nodes(), "node {old} out of range");
-        assert_eq!(new_id[old as usize], u32::MAX, "duplicate node {old}");
-        new_id[old as usize] = new as NodeId;
-    }
-    let mut edges = Vec::new();
-    for &old in nodes {
-        for &u in g.neighbors(old) {
-            let (a, b) = (new_id[old as usize], new_id[u as usize]);
-            if b != u32::MAX && a < b {
-                edges.push((a, b));
-            }
-        }
-    }
-    (Graph::from_edges(nodes.len(), edges), nodes.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,21 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_on_path() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = triangle_plus_isolate();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[3], None);
-        assert_eq!(d[2], Some(1));
-    }
-
-    #[test]
     fn components_counted() {
         let g = triangle_plus_isolate();
         let (labels, k) = connected_components(&g);
@@ -290,7 +116,6 @@ mod tests {
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[1], labels[2]);
         assert_ne!(labels[0], labels[3]);
-        assert_eq!(largest_component_size(&g), 3);
         assert!(!is_connected(&g));
         assert!(is_connected(&Graph::from_edges(2, [(0, 1)])));
         assert!(is_connected(&Graph::from_edges(0, std::iter::empty())));
@@ -315,72 +140,5 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
         assert_eq!(triangle_count(&g), 0);
-    }
-
-    #[test]
-    fn degree_histogram_shape() {
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
-        // degrees: 3,1,1,1
-        assert_eq!(degree_histogram(&g), vec![0, 3, 0, 1]);
-    }
-
-    #[test]
-    fn core_numbers_of_path_are_one() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(core_numbers(&g), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn core_numbers_of_clique_plus_pendant() {
-        // K4 on 0..4 plus pendant 4-0: clique nodes are 3-core, the
-        // pendant is 1-core.
-        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]);
-        let core = core_numbers(&g);
-        assert_eq!(core[4], 1);
-        for (v, &c) in core.iter().enumerate().take(4) {
-            assert_eq!(c, 3, "clique node {v}");
-        }
-    }
-
-    #[test]
-    fn core_numbers_peel_nested_structure() {
-        // Triangle 0-1-2 with a path 2-3-4 hanging off: triangle is
-        // 2-core, the tail 1-core.
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]);
-        assert_eq!(core_numbers(&g), vec![2, 2, 2, 1, 1]);
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        // Stars are maximally disassortative: hubs connect to leaves.
-        let g = Graph::from_edges(6, (1..6).map(|i| (0u32, i as u32)));
-        let r = degree_assortativity(&g).unwrap();
-        assert!(r < -0.99, "star assortativity {r}");
-    }
-
-    #[test]
-    fn assortativity_of_regular_graph_is_undefined() {
-        // A cycle is 2-regular: zero degree variance.
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        assert_eq!(degree_assortativity(&g), None);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        let (sub, map) = induced_subgraph(&g, &[1, 2, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        assert_eq!(sub.num_edges(), 2); // 1-2 and 2-3 survive
-        assert!(sub.has_edge(0, 1)); // old 1-2
-        assert!(sub.has_edge(1, 2)); // old 2-3
-        assert!(!sub.has_edge(0, 2));
-        assert_eq!(map, vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node")]
-    fn induced_subgraph_rejects_duplicates() {
-        let g = Graph::from_edges(3, [(0, 1)]);
-        induced_subgraph(&g, &[0, 0]);
     }
 }

@@ -47,18 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn bfs_distances_are_metric_like(edges in edge_list(10)) {
-        let g = Graph::from_edges(10, edges);
-        let d = algo::bfs_distances(&g, 0);
-        // Edge endpoints differ by at most 1 in distance when both reachable.
-        for &(u, v) in g.edges() {
-            if let (Some(du), Some(dv)) = (d[u as usize], d[v as usize]) {
-                prop_assert!(du.abs_diff(dv) <= 1, "edge ({u},{v}) distances {du},{dv}");
-            }
-        }
-    }
-
-    #[test]
     fn component_labels_consistent_with_edges(edges in edge_list(10)) {
         let g = Graph::from_edges(10, edges);
         let (labels, k) = algo::connected_components(&g);

@@ -1,7 +1,7 @@
 //! Row-major dense matrices.
 //!
 //! [`DenseMatrix`] backs the skip-gram embedding matrices `W_in` and
-//! `W_out` (`|V| x r`) and the small MLP/GCN weights of the baseline
+//! `W_out` (`|V| x r`) and the small MLP weights of the baseline
 //! models. Rows are the unit of access everywhere in this workspace
 //! (a node's embedding vector, a per-example gradient row), so the API
 //! is row-oriented and row views are plain slices.

@@ -9,13 +9,11 @@
 //! proximity) — are natural in CSR.
 
 use crate::dense::DenseMatrix;
-use std::ops::Range;
 
 /// One contiguous block of CSR rows — per-row non-zero counts plus the
 /// concatenated column indices and values — produced by row-partitioned
-/// kernels ([`CsrMatrix::spgemm_rows`], the proximity row kernel's
-/// matrix finish) and stitched back together with
-/// [`CsrMatrix::from_row_blocks`].
+/// kernels (the proximity row kernel's matrix finish) and stitched back
+/// together with [`CsrMatrix::from_row_blocks`].
 #[derive(Clone, Debug, Default)]
 pub struct CsrRowBlock {
     /// Number of stored entries in each row of the block, in row order.
@@ -325,38 +323,17 @@ impl CsrMatrix {
     }
 
     /// Sparse–sparse product `A * B` (classic Gustavson SpGEMM with a
-    /// dense accumulator row). Delegates to the row-range kernel so the
-    /// serial product and the row-partitioned parallel product (see
-    /// `sp_proximity`) run the exact same per-row arithmetic and are
-    /// bit-identical by construction.
+    /// dense accumulator row): the reference the proximity row kernel's
+    /// walk series is checked against.
     pub fn spgemm(&self, other: &CsrMatrix) -> CsrMatrix {
-        let block = self.spgemm_rows(other, 0..self.rows, 0.0);
-        Self::from_row_blocks(self.rows, other.cols, vec![block])
-    }
-
-    /// Gustavson SpGEMM restricted to the output rows in `rows`, with
-    /// entries `|v| < drop_tol` dropped as they are produced
-    /// (`drop_tol <= 0.0` keeps every structural non-zero, matching
-    /// [`CsrMatrix::spgemm`]).
-    ///
-    /// Each output row depends only on the inputs, so computing
-    /// disjoint ranges on different threads and assembling them with
-    /// [`CsrMatrix::from_row_blocks`] yields bit-identical results to
-    /// the serial product for any partition.
-    pub fn spgemm_rows(&self, other: &CsrMatrix, rows: Range<usize>, drop_tol: f64) -> CsrRowBlock {
         assert_eq!(self.cols, other.rows, "spgemm: inner dimension mismatch");
-        assert!(
-            rows.end <= self.rows,
-            "spgemm_rows: row range out of bounds"
-        );
-        let mut block = CsrRowBlock {
-            row_nnz: Vec::with_capacity(rows.len()),
-            indices: Vec::new(),
-            data: Vec::new(),
-        };
+        let mut indptr = Vec::with_capacity(self.rows + 1);
+        indptr.push(0usize);
+        let mut indices: Vec<u32> = Vec::new();
+        let mut data: Vec<f64> = Vec::new();
         let mut acc = vec![0.0f64; other.cols];
         let mut touched: Vec<u32> = Vec::new();
-        for i in rows {
+        for i in 0..self.rows {
             for (k, &j) in self.row_indices(i).iter().enumerate() {
                 let a = self.row_values(i)[k];
                 let jr = j as usize;
@@ -370,24 +347,29 @@ impl CsrMatrix {
                 }
             }
             touched.sort_unstable();
-            let before = block.indices.len();
             for &c in &touched {
                 let v = acc[c as usize];
-                if v != 0.0 && (drop_tol <= 0.0 || v.abs() >= drop_tol) {
-                    block.indices.push(c);
-                    block.data.push(v);
+                if v != 0.0 {
+                    indices.push(c);
+                    data.push(v);
                 }
                 acc[c as usize] = 0.0;
             }
             touched.clear();
-            block.row_nnz.push(block.indices.len() - before);
+            indptr.push(indices.len());
         }
-        block
+        CsrMatrix {
+            rows: self.rows,
+            cols: other.cols,
+            indptr,
+            indices,
+            data,
+        }
     }
 
     /// Assembles a CSR matrix from contiguous row blocks (in row
-    /// order, jointly covering `0..rows`), as produced by
-    /// [`CsrMatrix::spgemm_rows`] or any other row-partitioned builder.
+    /// order, jointly covering `0..rows`), as produced by any
+    /// row-partitioned builder.
     ///
     /// # Panics
     /// Panics if the blocks' row counts do not sum to `rows` or a block
@@ -575,6 +557,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn sample() -> CsrMatrix {
         // [1 0 2]
@@ -712,11 +695,21 @@ mod tests {
         assert!(CsrMatrix::from_raw(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 1.0]).is_err());
     }
 
+    /// `m`'s rows in `rows`, cut out as a row block.
+    fn row_block(m: &CsrMatrix, rows: Range<usize>) -> CsrRowBlock {
+        let span = m.indptr[rows.start]..m.indptr[rows.end];
+        CsrRowBlock {
+            row_nnz: rows.map(|i| m.indptr[i + 1] - m.indptr[i]).collect(),
+            indices: m.indices[span.clone()].to_vec(),
+            data: m.data[span].to_vec(),
+        }
+    }
+
     #[test]
     fn row_block_append_matches_two_block_assembly() {
         let m = sample();
-        let top = m.spgemm_rows(&m, 0..2, 0.0);
-        let bottom = m.spgemm_rows(&m, 2..3, 0.0);
+        let top = row_block(&m, 0..2);
+        let bottom = row_block(&m, 2..3);
         let via_vec = CsrMatrix::from_row_blocks(3, 3, vec![top.clone(), bottom.clone()]);
         let mut merged = top;
         assert_eq!(merged.rows(), 2);
@@ -725,7 +718,7 @@ mod tests {
         assert!(merged.heap_bytes() > 0);
         let via_append = CsrMatrix::from_row_blocks(3, 3, vec![merged]);
         assert_eq!(via_vec, via_append);
-        assert_eq!(via_vec, m.spgemm(&m));
+        assert_eq!(via_vec, m);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Losses with analytic gradients: each returns `(loss, d_loss/d_pred)`.
+//! A loss with its analytic gradient, returned as
+//! `(loss, d_loss/d_pred)`: the loss that `Mlp`'s gradient tests
+//! differentiate.
 //!
-//! All losses are *means* over every element (not sums), so gradient
-//! magnitudes are insensitive to batch/width choices — the convention
-//! the baselines' learning rates are tuned against.
+//! The loss is a *mean* over every element (not a sum), so gradient
+//! magnitudes are insensitive to batch/width choices.
 
-use sp_linalg::{vector, DenseMatrix};
+use sp_linalg::DenseMatrix;
 
 /// Mean squared error: `L = mean((pred - target)²)`.
 pub fn mse(pred: &DenseMatrix, target: &DenseMatrix) -> (f64, DenseMatrix) {
@@ -18,52 +19,6 @@ pub fn mse(pred: &DenseMatrix, target: &DenseMatrix) -> (f64, DenseMatrix) {
         grad.as_mut_slice()[idx] = 2.0 * d / n;
     }
     (loss / n, grad)
-}
-
-/// Binary cross-entropy on logits:
-/// `L = mean( log(1+e^z) - y z )` (numerically-stable softplus form),
-/// gradient `σ(z) - y`, everything averaged over all elements.
-pub fn bce_with_logits(logits: &DenseMatrix, targets: &DenseMatrix) -> (f64, DenseMatrix) {
-    assert_eq!(logits.shape(), targets.shape(), "bce: shape mismatch");
-    let n = logits.as_slice().len().max(1) as f64;
-    let mut grad = DenseMatrix::zeros(logits.rows(), logits.cols());
-    let mut loss = 0.0;
-    for (idx, (&z, &y)) in logits.as_slice().iter().zip(targets.as_slice()).enumerate() {
-        debug_assert!((0.0..=1.0).contains(&y), "bce target {y} outside [0,1]");
-        // softplus(z) - y z, stable for both signs of z.
-        let softplus = if z > 0.0 {
-            z + (-z).exp().ln_1p()
-        } else {
-            z.exp().ln_1p()
-        };
-        loss += softplus - y * z;
-        grad.as_mut_slice()[idx] = (vector::sigmoid(z) - y) / n;
-    }
-    (loss / n, grad)
-}
-
-/// KL divergence of a diagonal Gaussian `N(μ, e^{logvar})` from
-/// `N(0, I)`, the VAE regulariser:
-/// `KL = -½ mean(1 + logvar - μ² - e^{logvar})`.
-/// Returns `(loss, dμ, d_logvar)`.
-pub fn kl_standard_normal(
-    mu: &DenseMatrix,
-    logvar: &DenseMatrix,
-) -> (f64, DenseMatrix, DenseMatrix) {
-    assert_eq!(mu.shape(), logvar.shape(), "kl: shape mismatch");
-    let n = mu.as_slice().len().max(1) as f64;
-    let mut dmu = DenseMatrix::zeros(mu.rows(), mu.cols());
-    let mut dlv = DenseMatrix::zeros(mu.rows(), mu.cols());
-    let mut loss = 0.0;
-    for idx in 0..mu.as_slice().len() {
-        let m = mu.as_slice()[idx];
-        let lv = logvar.as_slice()[idx];
-        loss += -(1.0 + lv - m * m - lv.exp());
-        // d/dμ of -½(1+lv-μ²-e^lv)/n is μ/n; d/d_lv is (e^lv - 1)/(2n).
-        dmu.as_mut_slice()[idx] = m / n;
-        dlv.as_mut_slice()[idx] = (lv.exp() - 1.0) / (2.0 * n);
-    }
-    (loss / (2.0 * n), dmu, dlv)
 }
 
 #[cfg(test)]
@@ -85,88 +40,5 @@ mod tests {
         let (l, g) = mse(&p, &t);
         assert!((l - 2.5).abs() < 1e-12); // (1 + 4)/2
         assert_eq!(g.as_slice(), &[1.0, 2.0]); // 2d/n
-    }
-
-    #[test]
-    fn bce_gradient_matches_fd() {
-        let z = DenseMatrix::from_vec(1, 3, vec![-2.0, 0.3, 4.0]);
-        let y = DenseMatrix::from_vec(1, 3, vec![0.0, 1.0, 1.0]);
-        let (_, g) = bce_with_logits(&z, &y);
-        let h = 1e-6;
-        for i in 0..3 {
-            let mut zp = z.clone();
-            zp.as_mut_slice()[i] += h;
-            let (lp, _) = bce_with_logits(&zp, &y);
-            let mut zm = z.clone();
-            zm.as_mut_slice()[i] -= h;
-            let (lm, _) = bce_with_logits(&zm, &y);
-            let fd = (lp - lm) / (2.0 * h);
-            assert!((g.as_slice()[i] - fd).abs() < 1e-6, "i={i}");
-        }
-    }
-
-    #[test]
-    fn bce_is_minimal_at_confident_correct_logits() {
-        let y = DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let good = DenseMatrix::from_vec(1, 2, vec![10.0, -10.0]);
-        let bad = DenseMatrix::from_vec(1, 2, vec![-10.0, 10.0]);
-        let (lg, _) = bce_with_logits(&good, &y);
-        let (lb, _) = bce_with_logits(&bad, &y);
-        assert!(lg < 1e-3);
-        assert!(lb > 5.0);
-    }
-
-    #[test]
-    fn bce_stable_at_extreme_logits() {
-        let z = DenseMatrix::from_vec(1, 2, vec![800.0, -800.0]);
-        let y = DenseMatrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let (l, g) = bce_with_logits(&z, &y);
-        assert!(l.is_finite());
-        assert!(g.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn kl_zero_at_standard_normal() {
-        let mu = DenseMatrix::zeros(1, 4);
-        let lv = DenseMatrix::zeros(1, 4);
-        let (l, dmu, dlv) = kl_standard_normal(&mu, &lv);
-        assert!(l.abs() < 1e-12);
-        assert!(dmu.as_slice().iter().all(|&v| v == 0.0));
-        assert!(dlv.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn kl_gradients_match_fd() {
-        let mu = DenseMatrix::from_vec(1, 2, vec![0.7, -0.3]);
-        let lv = DenseMatrix::from_vec(1, 2, vec![0.2, -0.5]);
-        let (_, dmu, dlv) = kl_standard_normal(&mu, &lv);
-        let h = 1e-6;
-        for i in 0..2 {
-            let mut mp = mu.clone();
-            mp.as_mut_slice()[i] += h;
-            let (lp, _, _) = kl_standard_normal(&mp, &lv);
-            let mut mm = mu.clone();
-            mm.as_mut_slice()[i] -= h;
-            let (lm, _, _) = kl_standard_normal(&mm, &lv);
-            let fd = (lp - lm) / (2.0 * h);
-            assert!((dmu.as_slice()[i] - fd).abs() < 1e-6, "dmu i={i}");
-
-            let mut lp2 = lv.clone();
-            lp2.as_mut_slice()[i] += h;
-            let (l2, _, _) = kl_standard_normal(&mu, &lp2);
-            let mut lm2 = lv.clone();
-            lm2.as_mut_slice()[i] -= h;
-            let (l3, _, _) = kl_standard_normal(&mu, &lm2);
-            let fd2 = (l2 - l3) / (2.0 * h);
-            assert!((dlv.as_slice()[i] - fd2).abs() < 1e-6, "dlv i={i}");
-        }
-    }
-
-    #[test]
-    fn kl_positive_away_from_prior() {
-        let mu = DenseMatrix::from_vec(1, 2, vec![2.0, -2.0]);
-        let lv = DenseMatrix::zeros(1, 2);
-        let (l, _, _) = kl_standard_normal(&mu, &lv);
-        assert!(l > 0.0);
     }
 }

@@ -36,11 +36,6 @@ impl Mlp {
         }
     }
 
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Immutable access to a layer (weights inspection in tests).
     pub fn layer(&self, i: usize) -> &Linear {
         &self.layers[i]
@@ -178,7 +173,6 @@ mod tests {
         let mut m = mlp(1);
         let y = m.forward(&DenseMatrix::zeros(5, 3));
         assert_eq!(y.shape(), (5, 2));
-        assert_eq!(m.depth(), 2);
     }
 
     #[test]

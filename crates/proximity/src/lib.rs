@@ -169,12 +169,6 @@ impl EdgeProximity {
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
     }
-
-    /// Largest edge weight (`0.0` if empty) — used to bound the
-    /// effective gradient scale in the sensitivity discussion.
-    pub fn max_weight(&self) -> f64 {
-        self.weights.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Builds the full sparse proximity matrix for `kind`.
@@ -296,7 +290,7 @@ mod tests {
         // Every edge (i,j) has Â_ij ≥ 1/d_i > 0, so DW weights are positive.
         assert!(p.weights.iter().all(|&w| w > 0.0));
         assert!(p.min_positive > 0.0);
-        assert!(p.max_weight() >= p.min_positive);
+        assert!(p.weights.iter().all(|&w| w >= p.min_positive));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! ```text
 //! sp_served --model model.spm --listen 127.0.0.1:7878 \
 //!     [--ivf-nlist 64 [--nprobe 8]] [--max-conns 64] \
-//!     [--read-timeout-ms 30000] [--write-timeout-ms 10000] [--threads N]
+//!     [--read-timeout-ms 30000] [--write-timeout-ms 10000] [--threads N] \
+//!     [--max-line-bytes 4096]
 //! ```
 //!
 //! The server speaks the `SPSERVE 1` line protocol (`TOPK`, `LINK`,
@@ -21,7 +22,7 @@ use std::time::Duration;
 fn usage() -> &'static str {
     "usage: sp_served --model <file.spm> --listen <addr:port>\n\
      \t[--ivf-nlist <n> [--nprobe <p>]] [--max-conns 64] [--threads <n>]\n\
-     \t[--read-timeout-ms 30000] [--write-timeout-ms 10000] [--max-line-bytes 1024]\n\
+     \t[--read-timeout-ms 30000] [--write-timeout-ms 10000] [--max-line-bytes 4096]\n\
      \tServes TOPK/LINK/INFO/STATS/RELOAD/QUIT/SHUTDOWN over the\n\
      \tSPSERVE 1 line protocol; SHUTDOWN drains and exits 0."
 }
@@ -149,6 +150,99 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The message `parse_args` rejects `args` with.
+    fn rejection(args: &[&str]) -> String {
+        match parse_args(&argv(args)) {
+            Ok(_) => panic!("{args:?} was accepted"),
+            Err(e) => e,
+        }
+    }
+
+    const BASE: [&str; 4] = ["--model", "m.spm", "--listen", "127.0.0.1:0"];
+
+    #[test]
+    fn full_command_line_parses_every_field() {
+        let args = parse_args(&argv(&[
+            "--model",
+            "m.spm",
+            "--listen",
+            "127.0.0.1:7878",
+            "--ivf-nlist",
+            "32",
+            "--nprobe",
+            "4",
+            "--max-conns",
+            "8",
+            "--threads",
+            "2",
+            "--read-timeout-ms",
+            "1500",
+            "--write-timeout-ms",
+            "2500",
+            "--max-line-bytes",
+            "4096",
+        ]))
+        .unwrap();
+        assert_eq!(args.model, PathBuf::from("m.spm"));
+        assert_eq!(args.listen, "127.0.0.1:7878");
+        assert_eq!(args.ivf_nlist, Some(32));
+        assert_eq!(args.nprobe, Some(4));
+        assert_eq!(args.max_conns, 8);
+        assert_eq!(args.threads, Some(2));
+        assert_eq!(args.read_timeout_ms, 1500);
+        assert_eq!(args.write_timeout_ms, 2500);
+        assert_eq!(args.max_line_bytes, 4096);
+    }
+
+    #[test]
+    fn defaults_fill_the_optional_flags() {
+        let args = parse_args(&argv(&BASE)).unwrap();
+        assert_eq!(args.ivf_nlist, None);
+        assert_eq!(args.nprobe, None);
+        assert_eq!(args.max_conns, 64);
+        assert_eq!(args.threads, None);
+        assert_eq!(args.read_timeout_ms, 30_000);
+        assert_eq!(args.write_timeout_ms, 10_000);
+        assert_eq!(
+            args.max_line_bytes,
+            sp_serve::protocol::DEFAULT_MAX_LINE_BYTES
+        );
+    }
+
+    #[test]
+    fn each_bad_command_line_is_rejected_with_its_own_message() {
+        let with = |extra: &[&'static str]| -> Vec<&'static str> {
+            BASE.iter().chain(extra).copied().collect()
+        };
+        let cases: [(Vec<&str>, &str); 6] = [
+            (with(&["--nprobe", "4"]), "--nprobe requires --ivf-nlist"),
+            (
+                with(&["--max-conns", "0"]),
+                "--max-conns must be at least 1",
+            ),
+            (vec!["--listen", "127.0.0.1:0"], "--model is required"),
+            (vec!["--model", "m.spm"], "--listen is required"),
+            (with(&["--bogus"]), "unknown flag \"--bogus\""),
+            (with(&["--ivf-nlist", "many"]), "--ivf-nlist: "),
+        ];
+        for (args, expected) in &cases {
+            let message = rejection(args);
+            assert!(
+                message.starts_with(expected),
+                "{args:?} was rejected with {message:?}, expected {expected:?}"
+            );
         }
     }
 }

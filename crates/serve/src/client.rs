@@ -128,27 +128,6 @@ impl ServeClient {
         )
     }
 
-    /// Runs `op` against a fresh connection, reconnecting (with
-    /// `policy`'s backoff) when the attempt dies on a transient IO
-    /// error — the graceful-degradation loop for callers that can
-    /// replay an idempotent request, e.g. a query retried across a
-    /// server restart. Each attempt gets a new connection, so no torn
-    /// protocol state leaks between tries.
-    pub fn with_retry<T>(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-        policy: &RetryPolicy,
-        mut op: impl FnMut(&mut ServeClient) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        policy.run(
-            |e: &ClientError| matches!(e, ClientError::Io(io) if transient_io(io.kind())),
-            || {
-                let mut client = Self::connect_timeout(&addr, timeout)?;
-                op(&mut client)
-            },
-        )
-    }
-
     fn from_stream(stream: TcpStream) -> Result<Self, ClientError> {
         stream.set_nodelay(true).ok();
         let mut client = Self {
@@ -167,13 +146,6 @@ impl ServeClient {
             )));
         }
         Ok(client)
-    }
-
-    /// Applies socket read/write timeouts to subsequent calls.
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)?;
-        Ok(())
     }
 
     /// Sends raw bytes (failure-injection tests use this to speak

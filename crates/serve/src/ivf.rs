@@ -232,11 +232,6 @@ impl IvfIndex {
         top.into_sorted()
     }
 
-    /// [`IvfIndex::top_k`] with the build-time default probe count.
-    pub fn top_k_default(&self, store: &EmbeddingStore, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.top_k(store, query, k, self.nprobe_default)
-    }
-
     /// Approximate top-k neighbours of a stored node, excluding the
     /// node itself.
     pub fn top_k_node(

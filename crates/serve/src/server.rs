@@ -99,11 +99,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::Release);
     }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
 }
 
 /// A bound (but not yet running) TCP server over a [`ServingStore`].

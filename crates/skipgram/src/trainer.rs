@@ -947,16 +947,6 @@ fn touch<'s>(slab: &'s mut [f64], j: u32, seen: &mut u32, dim: usize) -> &'s mut
     row
 }
 
-/// Convenience: builds the default-config trainer, computes the
-/// proximity, and trains — the one-liner used by examples.
-pub fn train_with_defaults(
-    g: &Graph,
-    kind: sp_proximity::ProximityKind,
-) -> (SkipGramModel, TrainReport) {
-    let prox = EdgeProximity::compute(g, kind);
-    Trainer::new(TrainConfig::default()).train(g, &prox)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,14 +5,10 @@
 //! sampled corpus with the *analytic* walk proximity
 //! `M = (1/T) Σ_t Â^t` (see `sp_proximity::walk`),
 //! which is what makes the per-edge sensitivity analysis tractable.
-//! This module provides the classic sampled machinery anyway:
-//!
-//! - to validate the analytic matrix (the empirical co-occurrence
-//!   frequency of `(start, end)` pairs converges to `M` — tested
-//!   below), and
-//! - to let users train plain DeepWalk-style baselines on walk
-//!   corpora if they want a non-private reference with the original
-//!   pipeline.
+//! Nothing trains on a walk corpus. This module is the sampled
+//! reference the analytic matrix is checked against: the empirical
+//! co-occurrence frequency of `(start, end)` pairs converges to `M`
+//! (tested below).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
