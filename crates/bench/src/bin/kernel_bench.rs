@@ -7,22 +7,19 @@
 //! plus the trainer's keyed Gaussian
 //! noise row (`noise_row`: one r = 128 row through
 //! `sp_dp::NoiseKeys::fill_row`, gated with no scalar reference),
-//! writes the per-kernel medians as
-//! `kernels.tsv` via the shared harness (`SP_RESULTS_DIR` respected)
-//! plus a `BENCH_kernels.json` summary, and — with `--baseline
-//! <tsv>` — exits non-zero when any `lanes` median regressed more
-//! than the gate tolerance versus the committed baseline.
+//! writes the per-kernel medians as `kernels.tsv` in the shared
+//! [`sp_bench::gate`] schema (`SP_RESULTS_DIR` respected; one
+//! `<kernel>.<variant>.<dim>` metric per row, the `lanes` rows gated),
+//! and — with `--baseline <tsv>` — exits non-zero when any gated median
+//! regressed more than the gate tolerance versus the committed
+//! baseline.
 //!
 //! Flags / env:
-//! - `--out <path>`: JSON summary path (default `BENCH_kernels.json`).
 //! - `--baseline <tsv>`: run the regression gate against this file
 //!   (read before the run; refused when it is the `kernels.tsv` this
 //!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere).
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
 //!   (default `0.15` = 15%).
-//! - `SP_KERNEL_BENCH_SLOW=1`: honestly slow the lanes variants down
-//!   (each timed call runs the kernel twice) — used once to prove the
-//!   gate trips; never set in CI.
 //!
 //! Methodology: each sample times a calibrated batch of kernel calls
 //! (sized so one batch spans roughly [`TARGET_SAMPLE_NS`], keeping
@@ -35,17 +32,16 @@
 //! gate compares lanes medians against the committed lanes medians,
 //! never scalar vs lanes.
 
-use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
-use sp_bench::kernels::{compare, median_ns, parse_tsv, GateOutcome, KernelRow, TSV_HEADER};
+use sp_bench::gate::{self, Row};
 use sp_dp::NoiseKeys;
 use sp_linalg::vector;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::Instant;
 
 /// Paper embedding dimension — the trainer's gradient/clip width.
 const DIM_F64: usize = 128;
-/// Serving dimension (BlogCatalog-scale store in `sp_serve_bench`).
+/// Narrow f32 point: a dim-16 serving store, as in the IVF recall
+/// test, where `dist2_sq_f32` assigns nodes to k-means centroids.
 const DIM_F32: usize = 16;
 /// Second f32 point: full-width embeddings served without quantising.
 const DIM_F32_WIDE: usize = 128;
@@ -63,68 +59,26 @@ const CALIBRATION_BATCHES: usize = 64;
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
     // Read the baseline before this run writes its own kernels.tsv.
-    let baseline = flag_value(&argv, "--baseline").map(|path| {
-        let parsed = read_baseline(path.as_ref(), &tsv_path("kernels")).and_then(|text| {
-            parse_tsv(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))
-        });
-        parsed.unwrap_or_else(|e| {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        })
-    });
-    let slow = std::env::var("SP_KERNEL_BENCH_SLOW")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let tolerance = std::env::var("SP_BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.15);
+    let baseline = gate::baseline(&argv, "kernels");
 
     println!(
         "=== sp_kernel_bench: {SAMPLES} interleaved samples x ~{}us per batch ===",
         TARGET_SAMPLE_NS as u64 / 1000
     );
-    if slow {
-        println!("[slow] SP_KERNEL_BENCH_SLOW=1: lanes variants run twice per call");
-    }
-
-    let rows = run_all(slow);
+    let rows = run_all();
     print_table(&rows);
-
-    let tsv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.kernel.clone(),
-                r.variant.clone(),
-                r.dim.to_string(),
-                format!("{:.2}", r.median_ns),
-            ]
-        })
-        .collect();
-    write_tsv("kernels", &TSV_HEADER, &tsv_rows);
-    write_json(&out_path, &rows, tolerance);
+    gate::write("kernels", &rows);
 
     if let Some(baseline) = baseline {
-        let outcome = compare(&baseline, &rows, tolerance);
-        report_gate(&outcome, tolerance);
-        if !outcome.pass() {
+        if !gate::check(&baseline, &rows, gate::tolerance()) {
             std::process::exit(1);
         }
     }
 }
 
-fn flag_value(argv: &[String], flag: &str) -> Option<String> {
-    argv.iter()
-        .position(|a| a == flag)
-        .and_then(|i| argv.get(i + 1).cloned())
-}
-
 /// One kernel/variant/dim measurement candidate: `body` performs
-/// [`UNROLL`] kernel calls (operands pre-bound; with the slowdown
-/// injection the driver calls it twice per iteration).
+/// [`UNROLL`] kernel calls (operands pre-bound).
 struct Candidate<'a> {
     kernel: &'static str,
     variant: &'static str,
@@ -145,7 +99,7 @@ fn batched<'a>(mut f: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
 
 /// Runs every kernel/variant/dim combination and returns the rows in
 /// TSV order.
-fn run_all(slow: bool) -> Vec<KernelRow> {
+fn run_all() -> Vec<Row> {
     let mut rng = 0x5EED_CAFE_u64;
     let xa: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
     let ya: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
@@ -303,16 +257,15 @@ fn run_all(slow: bool) -> Vec<KernelRow> {
         }),
     });
 
-    measure(&mut cands, slow)
+    measure(&mut cands)
 }
 
 /// Calibrates a batch size per candidate, then samples all candidates
 /// round-robin: round `r` times one batch of every kernel before any
 /// kernel sees round `r + 1`, so a noisy scheduling window perturbs
-/// one sample of many kernels instead of every sample of one. With
-/// `slow`, `lanes` bodies run twice per iteration — an honest ~2x
-/// slowdown for the gate demonstration.
-fn measure(cands: &mut [Candidate], slow: bool) -> Vec<KernelRow> {
+/// one sample of many kernels instead of every sample of one. Medians
+/// are rounded to 0.01 ns.
+fn measure(cands: &mut [Candidate]) -> Vec<Row> {
     // Calibration doubles as warm-up. `reps` counts UNROLL-call
     // batches per timed sample.
     let reps: Vec<usize> = cands
@@ -330,13 +283,9 @@ fn measure(cands: &mut [Candidate], slow: bool) -> Vec<KernelRow> {
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(SAMPLES); cands.len()];
     for _ in 0..SAMPLES {
         for (i, c) in cands.iter_mut().enumerate() {
-            let double = slow && c.variant == "lanes";
             let t0 = Instant::now();
             for _ in 0..reps[i] {
                 (c.body)();
-                if double {
-                    (c.body)();
-                }
             }
             samples[i].push(t0.elapsed().as_nanos() as f64 / (reps[i] * UNROLL) as f64);
         }
@@ -345,11 +294,11 @@ fn measure(cands: &mut [Candidate], slow: bool) -> Vec<KernelRow> {
     cands
         .iter()
         .zip(samples.iter_mut())
-        .map(|(c, s)| KernelRow {
-            kernel: c.kernel.to_string(),
-            variant: c.variant.to_string(),
-            dim: c.dim,
-            median_ns: median_ns(s),
+        .map(|(c, s)| Row {
+            metric: format!("{}.{}.{}", c.kernel, c.variant, c.dim),
+            unit: "ns".to_string(),
+            value: (gate::median(s) * 100.0).round() / 100.0,
+            gate: c.variant == "lanes",
         })
         .collect()
 }
@@ -413,79 +362,21 @@ fn unit_f64(state: &mut u64) -> f64 {
 
 // --- reporting ---
 
-fn print_table(rows: &[KernelRow]) {
-    println!(
-        "{:<14} {:<7} {:>4} {:>12}",
-        "kernel", "variant", "dim", "median_ns"
-    );
+fn print_table(rows: &[Row]) {
+    println!("{:<24} {:>12} {:>4}", "metric", "median_ns", "gate");
     for r in rows {
-        println!(
-            "{:<14} {:<7} {:>4} {:>12.2}",
-            r.kernel, r.variant, r.dim, r.median_ns
-        );
+        println!("{:<24} {:>12.2} {:>4}", r.metric, r.value, u8::from(r.gate));
     }
-    for r in rows.iter().filter(|r| r.variant == "lanes") {
-        if let Some(s) = rows
-            .iter()
-            .find(|s| s.variant == "scalar" && s.kernel == r.kernel && s.dim == r.dim)
-        {
+    for r in rows.iter().filter(|r| r.metric.contains(".lanes.")) {
+        let scalar = r.metric.replace(".lanes.", ".scalar.");
+        if let Some(s) = rows.iter().find(|s| s.metric == scalar) {
             println!(
-                "  {} dim={}: lanes {:.2} ns vs scalar {:.2} ns ({:.2}x)",
-                r.kernel,
-                r.dim,
-                r.median_ns,
-                s.median_ns,
-                s.median_ns / r.median_ns
+                "  {}: lanes {:.2} ns vs scalar {:.2} ns ({:.2}x)",
+                r.metric,
+                r.value,
+                s.value,
+                s.value / r.value
             );
         }
-    }
-}
-
-fn write_json(path: &str, rows: &[KernelRow], tolerance: f64) {
-    let mut body = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        body.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"dim\": {}, \"median_ns\": {:.2}}}",
-            r.kernel, r.variant, r.dim, r.median_ns
-        ));
-    }
-    let json = format!(
-        r#"{{
-  "bench": "sp_kernel_bench",
-  "config": {{
-    "samples": {SAMPLES},
-    "target_sample_us": {target_us},
-    "gate_tolerance": {tolerance}
-  }},
-  "results": [
-{body}
-  ]
-}}
-"#,
-        target_us = TARGET_SAMPLE_NS as u64 / 1000,
-    );
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("[json] {path}"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
-}
-
-fn report_gate(outcome: &GateOutcome, tolerance: f64) {
-    println!(
-        "[gate] compared {} lanes kernels against baseline (tolerance +{:.0}%)",
-        outcome.compared,
-        100.0 * tolerance
-    );
-    for m in &outcome.missing {
-        eprintln!("FAIL: {m}");
-    }
-    for r in &outcome.regressions {
-        eprintln!("FAIL: regression: {r}");
-    }
-    if outcome.pass() {
-        println!("[gate] PASS");
     }
 }

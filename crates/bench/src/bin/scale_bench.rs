@@ -22,27 +22,22 @@
 //! when the materialised estimate fits it, or when the gate fails.
 //!
 //! Flags / env:
-//! - `--out <path>`: JSON summary path (default `BENCH_scale.json`).
 //! - `--baseline <tsv>`: gate the deterministic byte metrics against
 //!   this committed baseline (`crates/bench/results/scale.tsv`). It is
 //!   read before the run and refused when it is the `scale.tsv` this
 //!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere.
-//! - `--budget-bytes <n>`: RSS budget (default 64 MiB smoke, 3 GiB
-//!   full).
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
 //!   (default `0.15`).
-//! - `SP_RESULTS_DIR`: where `scale.tsv` lands.
+//! - `SP_RESULTS_DIR`: where `scale.tsv` lands, in the shared
+//!   [`sp_bench::gate`] schema with the `bytes` rows gated.
 
-use sp_bench::harness::{read_baseline, tsv_path, write_tsv};
-use sp_bench::scale::{
-    compare_scale, parse_scale_tsv, ByteTally, ScaleGateOutcome, ScaleRow, SCALE_TSV_HEADER,
-};
+use sp_bench::gate::{self, Row};
+use sp_bench::scale::ByteTally;
 use sp_graph::{Graph, GraphBuilder};
 use sp_parallel::resolve_threads;
 use sp_proximity::band::{RowBands, BAND_ROWS};
 use sp_proximity::{EdgeProximity, ProximityKind};
 use sp_skipgram::{NegativeSampling, PerturbStrategy, Subgraph, TrainConfig, Trainer};
-use std::io::Write as _;
 use std::time::Instant;
 
 /// One scale-bench scenario.
@@ -104,29 +99,13 @@ impl Scenario {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let mut sc = if argv.iter().any(|a| a == "--smoke") {
+    let sc = if argv.iter().any(|a| a == "--smoke") {
         Scenario::smoke()
     } else {
         Scenario::full()
     };
-    if let Some(v) = flag_value(&argv, "--budget-bytes") {
-        sc.budget_bytes = v.parse().expect("--budget-bytes: not a byte count");
-    }
-    let out_path = flag_value(&argv, "--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
     // Read the baseline before this run writes its own scale.tsv.
-    let baseline = flag_value(&argv, "--baseline").map(|path| {
-        let parsed = read_baseline(path.as_ref(), &tsv_path("scale")).and_then(|text| {
-            parse_scale_tsv(&text).map_err(|e| format!("cannot parse baseline {path}: {e}"))
-        });
-        parsed.unwrap_or_else(|e| {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        })
-    });
-    let tolerance = std::env::var("SP_BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.15);
+    let baseline = gate::baseline(&argv, "scale");
 
     println!(
         "=== sp_scale_bench [{}]: {} nodes, budget {} MiB, bands of {} rows ===",
@@ -234,43 +213,48 @@ fn main() {
         ));
     }
 
-    // --- 6. Artefacts: scale.tsv + BENCH_scale.json. ---
-    let rows = vec![
-        count_row("nodes", g.num_nodes()),
-        count_row("edges", g.num_edges()),
-        count_row("p_nnz", p_nnz),
-        bytes_row("graph_bytes", graph_bytes),
-        bytes_row("weights_bytes", weights_bytes),
-        bytes_row("alias_bytes", alias_bytes),
-        bytes_row("trainer_resident_bytes", trainer_resident_bytes),
-        bytes_row("band_peak_bytes", band_peak_bytes),
-        bytes_row("blocked_peak_bytes", blocked_peak_bytes),
-        ScaleRow {
-            metric: "bytes_per_edge".to_string(),
-            unit: "bytes".to_string(),
-            value: bytes_per_edge,
-        },
-        bytes_row("materialized_p_bytes", materialized_p_bytes),
-        bytes_row("materialized_gs_bytes", materialized_gs_bytes),
-        bytes_row("materialized_peak_bytes", materialized_peak_bytes),
-        ScaleRow {
-            metric: "wall_ns".to_string(),
-            unit: "ns".to_string(),
-            value: wall_ns as f64,
-        },
-    ];
-    let tsv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.metric.clone(), r.unit.clone(), format!("{}", r.value)])
-        .collect();
-    write_tsv("scale", &SCALE_TSV_HEADER, &tsv_rows);
-    write_json(&out_path, &sc, &rows, &report, failures.is_empty());
+    // --- 6. The record: scale.tsv, byte counts gated. ---
+    let rows: Vec<Row> = [
+        ("nodes", "count", g.num_nodes() as f64),
+        ("edges", "count", g.num_edges() as f64),
+        ("p_nnz", "count", p_nnz as f64),
+        ("graph_bytes", "bytes", graph_bytes as f64),
+        ("weights_bytes", "bytes", weights_bytes as f64),
+        ("alias_bytes", "bytes", alias_bytes as f64),
+        (
+            "trainer_resident_bytes",
+            "bytes",
+            trainer_resident_bytes as f64,
+        ),
+        ("band_peak_bytes", "bytes", band_peak_bytes as f64),
+        ("blocked_peak_bytes", "bytes", blocked_peak_bytes as f64),
+        ("bytes_per_edge", "bytes", bytes_per_edge),
+        ("materialized_p_bytes", "bytes", materialized_p_bytes as f64),
+        (
+            "materialized_gs_bytes",
+            "bytes",
+            materialized_gs_bytes as f64,
+        ),
+        (
+            "materialized_peak_bytes",
+            "bytes",
+            materialized_peak_bytes as f64,
+        ),
+        ("wall_ns", "ns", wall_ns as f64),
+    ]
+    .into_iter()
+    .map(|(metric, unit, value)| Row {
+        metric: metric.to_string(),
+        unit: unit.to_string(),
+        value,
+        gate: unit == "bytes",
+    })
+    .collect();
+    gate::write("scale", &rows);
 
     // --- 7. Gate against the committed baseline. ---
     if let Some(baseline) = baseline {
-        let outcome = compare_scale(&baseline, &rows, tolerance);
-        report_gate(&outcome, tolerance);
-        if !outcome.pass() {
+        if !gate::check(&baseline, &rows, gate::tolerance()) {
             failures.push("memory baseline gate failed".to_string());
         }
     }
@@ -285,30 +269,8 @@ fn main() {
     }
 }
 
-fn flag_value(argv: &[String], flag: &str) -> Option<String> {
-    argv.iter()
-        .position(|a| a == flag)
-        .and_then(|i| argv.get(i + 1).cloned())
-}
-
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
-}
-
-fn bytes_row(metric: &str, bytes: u64) -> ScaleRow {
-    ScaleRow {
-        metric: metric.to_string(),
-        unit: "bytes".to_string(),
-        value: bytes as f64,
-    }
-}
-
-fn count_row(metric: &str, count: usize) -> ScaleRow {
-    ScaleRow {
-        metric: metric.to_string(),
-        unit: "count".to_string(),
-        value: count as f64,
-    }
 }
 
 /// Ring + chords: node `i` connects to `i+1` and to `i + stride_j`
@@ -349,78 +311,4 @@ fn banded_nnz(bands: &RowBands) -> (usize, u64) {
         peak = peak.max(block.heap_bytes());
     }
     (nnz, peak)
-}
-
-fn write_json(
-    path: &str,
-    sc: &Scenario,
-    rows: &[ScaleRow],
-    report: &sp_skipgram::TrainReport,
-    pass: bool,
-) {
-    let mut metrics = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            metrics.push_str(",\n");
-        }
-        metrics.push_str(&format!(
-            "    {{\"metric\": \"{}\", \"unit\": \"{}\", \"value\": {}}}",
-            r.metric, r.unit, r.value
-        ));
-    }
-    let json = format!(
-        r#"{{
-  "bench": "sp_scale_bench",
-  "mode": "{label}",
-  "config": {{
-    "nodes": {nodes},
-    "chords": {chords},
-    "dim": {dim},
-    "batch_size": {batch},
-    "band_rows": {band_rows},
-    "budget_bytes": {budget}
-  }},
-  "train": {{
-    "steps_run": {steps},
-    "epochs_run": {epochs},
-    "epsilon_spent": {eps}
-  }},
-  "pass": {pass},
-  "metrics": [
-{metrics}
-  ]
-}}
-"#,
-        label = sc.label,
-        nodes = sc.nodes,
-        chords = sc.chords,
-        dim = sc.dim,
-        batch = sc.batch_size,
-        band_rows = BAND_ROWS,
-        budget = sc.budget_bytes,
-        steps = report.steps_run,
-        epochs = report.epochs_run,
-        eps = report.epsilon_spent,
-    );
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("[json] {path}"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
-}
-
-fn report_gate(outcome: &ScaleGateOutcome, tolerance: f64) {
-    println!(
-        "[gate] compared {} byte metrics against baseline (tolerance +{:.0}%)",
-        outcome.compared,
-        100.0 * tolerance
-    );
-    for m in &outcome.missing {
-        eprintln!("FAIL: {m}");
-    }
-    for r in &outcome.regressions {
-        eprintln!("FAIL: regression: {r}");
-    }
-    if outcome.pass() {
-        println!("[gate] PASS");
-    }
 }

@@ -12,12 +12,18 @@
 //!   2-core machine;
 //! - **full** (`--full` or `SP_BENCH_FULL=1`): the paper's published
 //!   dataset sizes, epochs, and 10 repetitions.
+//!
+//! Two more bins are CI regression gates: `sp_kernel_bench` times the
+//! training and serving kernels, and `sp_scale_bench` byte-accounts the
+//! out-of-core proximity → Alg. 1 → Alg. 2 pipeline. Each writes one
+//! `metric unit value gate` TSV and compares it with its committed
+//! baseline through [`gate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
 pub mod harness;
-pub mod kernels;
 pub mod methods;
 pub mod scale;

@@ -352,15 +352,13 @@ fn write_tsv(
         .map_err(|e| format!("flush error on {}: {e}", args.output))
 }
 
-fn run_train(argv: &[String]) -> Result<(), String> {
-    let args = parse_args(argv)?;
-    let (g, original, source) = provision(&args)?;
-    eprintln!(
-        "loaded {source}: {} nodes, {} edges",
-        g.num_nodes(),
-        g.num_edges()
-    );
-
+/// The configured model. The budget checks apply only to private runs:
+/// `--non-private` ignores `--epsilon` and `--delta`.
+///
+/// # Errors
+/// `TrainConfig::validate`'s reason for an invalid parameter, with the
+/// usage text.
+fn configure(args: &Args) -> Result<SePrivGEmb, String> {
     let mut builder = SePrivGEmb::builder()
         .dim(args.dim)
         .epochs(args.epochs)
@@ -371,13 +369,31 @@ fn run_train(argv: &[String]) -> Result<(), String> {
     } else {
         builder = builder.epsilon(args.epsilon).delta(args.delta);
     }
+    if let Some(dir) = &args.checkpoint_dir {
+        builder = builder
+            .checkpoint_every(args.checkpoint_every)
+            .checkpoint_dir(dir.clone());
+    }
+    builder
+        .try_build()
+        .map_err(|e| format!("invalid configuration: {e}\n{}", usage()))
+}
+
+fn run_train(argv: &[String]) -> Result<(), String> {
+    let args = parse_args(argv)?;
+    // Before the graph loads: a bad parameter is a usage error.
+    let model = configure(&args)?;
+    let (g, original, source) = provision(&args)?;
+    eprintln!(
+        "loaded {source}: {} nodes, {} edges",
+        g.num_nodes(),
+        g.num_edges()
+    );
+
     let result = match &args.checkpoint_dir {
-        None => builder.build().fit(&g),
+        None => model.fit(&g),
         Some(dir) => {
-            let run = builder
-                .checkpoint_every(args.checkpoint_every)
-                .checkpoint_dir(dir.clone())
-                .build()
+            let run = model
                 .fit_checkpointed(&g, args.resume)
                 .map_err(|e| format!("checkpointed training failed: {e}"))?;
             match &run.resumed_from {
@@ -514,5 +530,57 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn configured(flags: &str) -> Result<SePrivGEmb, String> {
+        let argv: Vec<String> = format!("--input g.txt --output e.tsv {flags}")
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        configure(&parse_args(&argv)?)
+    }
+
+    #[test]
+    fn each_invalid_training_parameter_is_a_usage_error() {
+        for (flags, reason) in [
+            ("--dim 0", "dim must be >= 1"),
+            ("--epsilon 0", "epsilon must be positive"),
+            ("--delta 2", "delta must be in (0,1)"),
+        ] {
+            let err = configured(flags).map(|_| ()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("invalid configuration: {reason}\n")),
+                "{flags}: {err}"
+            );
+            assert!(err.contains(usage()), "{flags}: {err}");
+        }
+    }
+
+    #[test]
+    fn defaults_configure_the_paper_run() {
+        let model = configured("").unwrap();
+        let cfg = model.train_config();
+        assert_eq!((cfg.dim, cfg.epochs, cfg.seed), (128, 200, 1));
+        assert_eq!((cfg.epsilon, cfg.delta), (3.5, 1e-5));
+        assert_eq!(cfg.strategy, PerturbStrategy::NonZero);
+        assert_eq!(model.proximity_kind(), ProximityKind::deepwalk_default());
+        // Every other trajectory parameter keeps the builder's §VI-A value.
+        let paper = SePrivGEmb::builder().seed(1).build();
+        assert_eq!(
+            cfg.fingerprint(10, 20),
+            paper.train_config().fingerprint(10, 20)
+        );
+        assert_eq!(cfg.checkpoint_dir, None);
+    }
+
+    #[test]
+    fn non_private_runs_skip_the_budget_checks() {
+        let model = configured("--non-private --epsilon 0").unwrap();
+        assert_eq!(model.train_config().strategy, PerturbStrategy::None);
     }
 }

@@ -146,15 +146,24 @@ impl SePrivGEmbBuilder {
         self
     }
 
-    /// Finalises; panics on invalid parameter combinations.
-    pub fn build(self) -> SePrivGEmb {
-        if let Err(e) = self.train.validate() {
-            panic!("invalid SE-PrivGEmb configuration: {e}");
-        }
-        SePrivGEmb {
+    /// Finalises, or returns `TrainConfig::validate`'s reason when a
+    /// parameter is out of range.
+    ///
+    /// # Errors
+    /// The first invalid parameter, e.g. `"dim must be >= 1"`.
+    pub fn try_build(self) -> Result<SePrivGEmb, String> {
+        self.train.validate()?;
+        Ok(SePrivGEmb {
             train: self.train,
             proximity: self.proximity,
-        }
+        })
+    }
+
+    /// Finalises; panics on invalid parameter combinations (see
+    /// [`SePrivGEmbBuilder::try_build`]).
+    pub fn build(self) -> SePrivGEmb {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("invalid SE-PrivGEmb configuration: {e}"))
     }
 }
 

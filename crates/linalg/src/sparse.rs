@@ -496,30 +496,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Symmetric normalisation `D^{-1/2} (A) D^{-1/2}` used by GCN-style
-    /// aggregation; `deg` must hold the (weighted) row sums to use.
-    pub fn normalize_sym(&mut self, deg: &[f64]) {
-        assert_eq!(
-            deg.len(),
-            self.rows,
-            "normalize_sym: degree length mismatch"
-        );
-        assert_eq!(self.rows, self.cols, "normalize_sym: matrix must be square");
-        let inv_sqrt: Vec<f64> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        for i in 0..self.rows {
-            let li = inv_sqrt[i];
-            let start = self.indptr[i];
-            let end = self.indptr[i + 1];
-            for k in start..end {
-                let j = self.indices[k] as usize;
-                self.data[k] *= li * inv_sqrt[j];
-            }
-        }
-    }
-
     /// Materialises as dense (test/debug helper; asserts smallness).
     pub fn to_dense(&self) -> DenseMatrix {
         assert!(
@@ -649,18 +625,6 @@ mod tests {
         assert!((m.row_sum(0) - 1.0).abs() < 1e-12);
         assert_eq!(m.row_sum(1), 0.0);
         assert!((m.row_sum(2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_sym_scales_by_degrees() {
-        // Symmetric 2x2 with ones off-diagonal.
-        let mut b = CooBuilder::new(2, 2);
-        b.push(0, 1, 1.0);
-        b.push(1, 0, 1.0);
-        let mut m = b.build();
-        m.normalize_sym(&[1.0, 4.0]);
-        assert!((m.get(0, 1) - 0.5).abs() < 1e-12);
-        assert!((m.get(1, 0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -306,23 +306,33 @@ mod tests {
 
     #[test]
     fn partial_probe_recall_is_high_on_clustered_data() {
-        let store = clustered_store(2000, 12, 16);
-        let cfg = IvfConfig {
-            nlist: 16,
-            nprobe: 4,
-            ..IvfConfig::default()
-        };
-        let idx = IvfIndex::build(&store, cfg, Some(1));
-        let mut total = 0.0;
-        let queries = 40;
-        for q in 0..queries {
-            let node = (q * 47) as u32 % 2000;
-            let exact = store.exact_top_k_node(node, 10);
-            let approx = idx.top_k_node(&store, node, 10, 4);
-            total += recall_at_k(&approx, &exact);
+        // (nodes, dim, clusters, seed, nlist, nprobe, queries, stride).
+        // The second store is BlogCatalog-sized (10,312 nodes), queried
+        // at every 20th node.
+        for (n, dim, clusters, seed, nlist, nprobe, queries, stride) in [
+            (2000, 12, 16, 0xBEEF, 16, 4, 40, 47),
+            (10_312, 16, 40, 0x5E21, 64, 16, 500, 20),
+        ] {
+            let store = EmbeddingStore::from_f32(
+                clustered_embedding(n, dim, clusters, seed),
+                Provenance::non_private(seed),
+            );
+            let cfg = IvfConfig {
+                nlist,
+                nprobe,
+                ..IvfConfig::default()
+            };
+            let idx = IvfIndex::build(&store, cfg, Some(1));
+            let mut total = 0.0;
+            for q in 0..queries {
+                let node = ((q * stride) % n) as u32;
+                let exact = store.exact_top_k_node(node, 10);
+                let approx = idx.top_k_node(&store, node, 10, nprobe);
+                total += recall_at_k(&approx, &exact);
+            }
+            let recall = total / queries as f64;
+            assert!(recall >= 0.95, "{n} nodes: recall@10 {recall} below 0.95");
         }
-        let recall = total / queries as f64;
-        assert!(recall >= 0.95, "recall@10 {recall} below 0.95");
     }
 
     #[test]
