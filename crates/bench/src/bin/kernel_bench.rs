@@ -33,6 +33,7 @@
 //! never scalar vs lanes.
 
 use sp_bench::gate::{self, Row};
+use sp_bench::kernels;
 use sp_dp::NoiseKeys;
 use sp_linalg::vector;
 use std::hint::black_box;
@@ -294,11 +295,9 @@ fn measure(cands: &mut [Candidate]) -> Vec<Row> {
     cands
         .iter()
         .zip(samples.iter_mut())
-        .map(|(c, s)| Row {
-            metric: format!("{}.{}.{}", c.kernel, c.variant, c.dim),
-            unit: "ns".to_string(),
-            value: (gate::median(s) * 100.0).round() / 100.0,
-            gate: c.variant == "lanes",
+        .map(|(c, s)| {
+            let median_ns = (gate::median(s) * 100.0).round() / 100.0;
+            kernels::row(c.kernel, c.variant, c.dim, median_ns)
         })
         .collect()
 }

@@ -32,7 +32,7 @@
 //!   [`sp_bench::gate`] schema with the `bytes` rows gated.
 
 use sp_bench::gate::{self, Row};
-use sp_bench::scale::ByteTally;
+use sp_bench::scale::{self, ByteTally};
 use sp_graph::{Graph, GraphBuilder};
 use sp_parallel::resolve_threads;
 use sp_proximity::band::{RowBands, BAND_ROWS};
@@ -243,12 +243,7 @@ fn main() {
         ("wall_ns", "ns", wall_ns as f64),
     ]
     .into_iter()
-    .map(|(metric, unit, value)| Row {
-        metric: metric.to_string(),
-        unit: unit.to_string(),
-        value,
-        gate: unit == "bytes",
-    })
+    .map(|(metric, unit, value)| scale::row(metric, unit, value))
     .collect();
     gate::write("scale", &rows);
 

@@ -15,7 +15,9 @@
 //! 15% gate), and when the fresh run lacks it: a removed metric cannot
 //! show it did not regress. Fresh-only rows pass until the baseline is
 //! re-committed. Rows with `gate = 0` are recorded for humans reading
-//! the artefact and never fail the build.
+//! the artefact and never fail the build. Which rows gate is each
+//! bench's choice, made by [`crate::kernels::row`] and
+//! [`crate::scale::row`]; their tests check the rule on those rows.
 
 use crate::harness::{tsv_path, write_tsv};
 use std::path::{Path, PathBuf};
@@ -81,10 +83,9 @@ pub(crate) fn parse(text: &str) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Writes `rows` to `results/<name>.tsv` (`SP_RESULTS_DIR` respected).
-pub fn write(name: &str, rows: &[Row]) {
-    let cells: Vec<Vec<String>> = rows
-        .iter()
+/// The TSV cells of `rows`, one `Vec` per row in [`HEADER`] order.
+fn cells(rows: &[Row]) -> Vec<Vec<String>> {
+    rows.iter()
         .map(|r| {
             vec![
                 r.metric.clone(),
@@ -93,8 +94,12 @@ pub fn write(name: &str, rows: &[Row]) {
                 u8::from(r.gate).to_string(),
             ]
         })
-        .collect();
-    write_tsv(name, &HEADER, &cells);
+        .collect()
+}
+
+/// Writes `rows` to `results/<name>.tsv` (`SP_RESULTS_DIR` respected).
+pub fn write(name: &str, rows: &[Row]) {
+    write_tsv(name, &HEADER, &cells(rows));
 }
 
 /// Outcome of a baseline-vs-fresh comparison.
@@ -235,18 +240,18 @@ pub fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
+/// The text [`write`] puts in the file for `rows`.
+#[cfg(test)]
+pub(crate) fn render(rows: &[Row]) -> String {
+    std::iter::once(HEADER.join("\t"))
+        .chain(cells(rows).iter().map(|c| c.join("\t")))
+        .map(|line| line + "\n")
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(metric: &str, unit: &str, value: f64, gate: bool) -> Row {
-        Row {
-            metric: metric.into(),
-            unit: unit.into(),
-            value,
-            gate,
-        }
-    }
 
     fn tsv(rows: &[&str]) -> String {
         std::iter::once(HEADER.join("\t"))
@@ -269,34 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn tsv_round_trips() {
-        let rows = vec![
-            row("dot_f64.lanes.128", "ns", 41.5, true),
-            row("bytes_per_edge", "bytes", 43.92668333333334, true),
-            row("wall_ns", "ns", 2268293905.0, false),
-        ];
-        let lines: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{}\t{}\t{}\t{}",
-                    r.metric,
-                    r.unit,
-                    r.value,
-                    u8::from(r.gate)
-                )
-            })
-            .collect();
-        let text = tsv(&lines.iter().map(String::as_str).collect::<Vec<_>>());
-        assert_eq!(parse(&text).unwrap(), rows);
-    }
-
-    #[test]
     fn parse_rejects_bad_headers_rows_values_and_gates() {
         assert!(parse("").is_err());
-        // The pre-gate schemas of both benches.
-        assert!(parse("kernel\tvariant\tdim\tmedian_ns\ndot_f64\tlanes\t128\t44.26\n").is_err());
-        assert!(parse("metric\tunit\tvalue\nedges\tcount\t480000\n").is_err());
+        assert!(parse("metric\tunit\tvalue\tgated\n").is_err());
         for bad in [
             "edges\tcount\t480000",
             "edges\tcount\t480000\t0\textra",
@@ -307,53 +287,6 @@ mod tests {
         ] {
             assert!(parse(&tsv(&[bad])).is_err(), "{bad:?} parsed");
         }
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_ignores_ungated_rows() {
-        let base = vec![
-            row("dot_f64.lanes.128", "ns", 100.0, true),
-            row("dot_f64.scalar.128", "ns", 100.0, false),
-        ];
-        // Gated row within 15%; the ungated one wildly slower.
-        let fresh = vec![
-            row("dot_f64.lanes.128", "ns", 114.0, true),
-            row("dot_f64.scalar.128", "ns", 900.0, false),
-        ];
-        let out = compare(&base, &fresh, 0.15);
-        assert!(out.pass(), "{out:?}");
-        assert_eq!(out.compared, 1);
-    }
-
-    #[test]
-    fn gate_fails_beyond_tolerance() {
-        let base = vec![row("blocked_peak_bytes", "bytes", 100.0, true)];
-        let fresh = vec![row("blocked_peak_bytes", "bytes", 116.0, true)];
-        let out = compare(&base, &fresh, 0.15);
-        assert!(!out.pass());
-        assert_eq!(out.failures.len(), 1);
-        assert!(out.failures[0].contains("blocked_peak_bytes"));
-    }
-
-    #[test]
-    fn gate_fails_when_a_gated_row_disappears() {
-        let base = vec![row("blocked_peak_bytes", "bytes", 100.0, true)];
-        assert!(!compare(&base, &[], 0.15).pass());
-        // Rows match on metric and unit: the same name in another unit
-        // is not the gated row.
-        let renamed_unit = vec![row("blocked_peak_bytes", "count", 1.0, true)];
-        let out = compare(&base, &renamed_unit, 0.15);
-        assert_eq!(out.compared, 0);
-        assert_eq!(out.failures.len(), 1);
-        assert!(out.failures[0].contains("missing"), "{out:?}");
-    }
-
-    #[test]
-    fn fresh_only_rows_do_not_gate_until_baselined() {
-        let fresh = vec![row("new_metric", "bytes", 10.0, true)];
-        let out = compare(&[], &fresh, 0.15);
-        assert!(out.pass());
-        assert_eq!(out.compared, 0);
     }
 
     #[test]

@@ -25,5 +25,6 @@
 pub mod experiments;
 pub mod gate;
 pub mod harness;
+pub mod kernels;
 pub mod methods;
 pub mod scale;
