@@ -1,18 +1,24 @@
-//! Hot-path kernel microbench + CI regression gate.
+//! Hot-path kernel bench + CI regression gate.
 //!
-//! Measures the shipping lane-shaped kernels in `sp_linalg::vector`
-//! (and the serving f32 score path that delegates to them) against
-//! plain scalar reference loops, the trainer's three-row inner products
-//! (`dot_rows_f64`: one `dot_rows` pass against three `dot` calls),
-//! plus the trainer's keyed Gaussian
-//! noise row (`noise_row`: one r = 128 row through
-//! `sp_dp::NoiseKeys::fill_row`, gated with no scalar reference),
-//! writes the per-kernel medians as `kernels.tsv` in the shared
-//! [`sp_bench::gate`] schema (`SP_RESULTS_DIR` respected; one
-//! `<kernel>.<variant>.<dim>` metric per row, the `lanes` rows gated),
-//! and — with `--baseline <tsv>` — exits non-zero when any gated median
-//! regressed more than the gate tolerance versus the committed
-//! baseline.
+//! Times the kernels the trainer and the server run at the paper's
+//! r = 128, each against a reference timed in the same run:
+//!
+//! | kernel | reference | shipping |
+//! |---|---|---|
+//! | `dot_f64` | plain indexed loop | `vector::dot` |
+//! | `dot_rows_f64` | three `vector::dot` calls | `vector::dot_rows` over three rows |
+//! | `grad_clip_f64` | plain loop over the example's k + 2 = 7 written-out rows | `GradBuffer::clip` on one k = 5 example |
+//! | `dot_f32` | plain loop | `vector::dot_f32` |
+//! | `dist2_sq_f32` | plain loop | `vector::dist2_sq_f32` |
+//! | `noise_row` | floor: a `SmallRng` seeded per row, 128 raw words to `f64` | `NoiseKeys::fill_row` |
+//!
+//! Each kernel writes three rows of `kernels.tsv` in the shared
+//! [`sp_bench::gate`] schema (`SP_RESULTS_DIR` respected): the
+//! reference and shipping medians in `ns`, ungated, and their ratio,
+//! gated. A slow box slows both sides of a ratio, so it cancels; a
+//! kernel that loses its lane shape moves it. With `--baseline <tsv>`
+//! the bin exits non-zero when any gated ratio exceeds its pin by more
+//! than the gate tolerance.
 //!
 //! Flags / env:
 //! - `--baseline <tsv>`: run the regression gate against this file
@@ -25,27 +31,26 @@
 //! (sized so one batch spans roughly [`TARGET_SAMPLE_NS`], keeping
 //! the timer overhead negligible even for single-digit-ns kernels)
 //! and divides by the batch size. Samples are taken **round-robin
-//! across all kernels** — a noisy scheduling window on a shared
-//! runner then inflates one sample of many kernels instead of every
-//! sample of one kernel — and the reported number is the median of an
-//! odd count of rounds. Scalar rows are reference points only — the
-//! gate compares lanes medians against the committed lanes medians,
-//! never scalar vs lanes.
+//! across all kernels**, each reference right before its shipping
+//! kernel — a noisy scheduling window on a shared runner then inflates
+//! one sample of many kernels instead of every sample of one kernel —
+//! and the reported number is the median of an odd count of rounds.
 
+use rand::rngs::SmallRng;
+use rand::{RngCore, SeedableRng};
 use sp_bench::gate::{self, Row};
 use sp_bench::kernels;
 use sp_dp::NoiseKeys;
 use sp_linalg::vector;
+use sp_skipgram::model::GradBuffer;
+use sp_skipgram::{SkipGramModel, Subgraph, TrainConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Paper embedding dimension — the trainer's gradient/clip width.
-const DIM_F64: usize = 128;
-/// Narrow f32 point: a dim-16 serving store, as in the IVF recall
-/// test, where `dist2_sq_f32` assigns nodes to k-means centroids.
-const DIM_F32: usize = 16;
-/// Second f32 point: full-width embeddings served without quantising.
-const DIM_F32_WIDE: usize = 128;
+/// Paper embedding dimension: the trainer's rows and the served ones.
+const DIM: usize = 128;
+/// Negatives per example, as the trainer's default.
+const NEGATIVES: usize = 5;
 /// Odd sample count -> median is a real observation.
 const SAMPLES: usize = 31;
 /// Target wall-clock span of one timed batch; the per-kernel batch
@@ -78,19 +83,20 @@ fn main() {
     }
 }
 
-/// One kernel/variant/dim measurement candidate: `body` performs
-/// [`UNROLL`] kernel calls (operands pre-bound).
-struct Candidate<'a> {
-    kernel: &'static str,
-    variant: &'static str,
-    dim: usize,
-    body: Box<dyn FnMut() + 'a>,
+/// A batch of [`UNROLL`] calls of one kernel, operands pre-bound.
+type Body<'a> = Box<dyn FnMut() + 'a>;
+
+/// One kernel: its reference and its shipping form.
+struct Kernel<'a> {
+    name: &'static str,
+    reference: Body<'a>,
+    shipping: Body<'a>,
 }
 
 /// Wraps one kernel call into an [`UNROLL`]-call boxed batch; the
 /// kernel is monomorphised and inlined inside the loop, so only the
 /// batch boundary pays the dynamic dispatch.
-fn batched<'a>(mut f: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
+fn batched<'a>(mut f: impl FnMut() + 'a) -> Body<'a> {
     Box::new(move || {
         for _ in 0..UNROLL {
             f();
@@ -98,211 +104,167 @@ fn batched<'a>(mut f: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
     })
 }
 
-/// Runs every kernel/variant/dim combination and returns the rows in
-/// TSV order.
+/// Runs every kernel and returns the rows in TSV order.
 fn run_all() -> Vec<Row> {
     let mut rng = 0x5EED_CAFE_u64;
-    let xa: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
-    let ya: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
-    let xf: Vec<f32> = (0..DIM_F32_WIDE)
-        .map(|_| unit_f64(&mut rng) as f32)
-        .collect();
-    let yf: Vec<f32> = (0..DIM_F32_WIDE)
-        .map(|_| unit_f64(&mut rng) as f32)
-        .collect();
-    // Two more context rows for `dot_rows_f64`, drawn after every
-    // other operand so those keep their values.
-    let za: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
-    let wa: Vec<f64> = (0..DIM_F64).map(|_| unit_f64(&mut rng)).collect();
-    let mut acc = ya.clone();
-    let mut acc2 = ya.clone();
-    let mut ga = xa.clone();
-    let mut gb = xa.clone();
+    let mut row = || -> Vec<f64> { (0..DIM).map(|_| unit_f64(&mut rng)).collect() };
+    let (xa, ya, za, wa) = (row(), row(), row(), row());
+    let xf: Vec<f32> = row().iter().map(|&v| v as f32).collect();
+    let yf: Vec<f32> = row().iter().map(|&v| v as f32).collect();
 
-    let mut cands: Vec<Candidate> = Vec::new();
-
-    // dot (f64): the trainer's score/gradient inner product.
-    cands.push(Candidate {
-        kernel: "dot_f64",
-        variant: "scalar",
-        dim: DIM_F64,
-        body: batched(|| {
-            black_box(dot_scalar(black_box(&xa), black_box(&ya)));
-        }),
-    });
-    cands.push(Candidate {
-        kernel: "dot_f64",
-        variant: "lanes",
-        dim: DIM_F64,
-        body: batched(|| {
-            black_box(vector::dot(black_box(&xa), black_box(&ya)));
-        }),
-    });
-
-    // dot_rows (f64): the trainer's inner products of one centre row
-    // with three context rows in one pass, against three `dot` calls.
-    let (x, ctx) = (&xa[..], [&ya[..], &za[..], &wa[..]]);
-    cands.push(Candidate {
-        kernel: "dot_rows_f64",
-        variant: "scalar",
-        dim: DIM_F64,
-        body: batched(move || {
-            let x = black_box(x);
-            black_box(ctx.map(|y| vector::dot(x, black_box(y))));
-        }),
-    });
-    cands.push(Candidate {
-        kernel: "dot_rows_f64",
-        variant: "lanes",
-        dim: DIM_F64,
-        body: batched(move || {
-            let mut out = [0.0; 3];
-            vector::dot_rows(black_box(x), |j| black_box(ctx[j]), &mut out);
-            black_box(out);
-        }),
-    });
-
-    // axpy (f64): the gradient accumulate/apply step.
-    cands.push(Candidate {
-        kernel: "axpy_f64",
-        variant: "scalar",
-        dim: DIM_F64,
-        body: batched(|| {
-            axpy_scalar(black_box(&mut acc), 1.0e-9, black_box(&xa));
-            black_box(acc[0]);
-        }),
-    });
-    cands.push(Candidate {
-        kernel: "axpy_f64",
-        variant: "lanes",
-        dim: DIM_F64,
-        body: batched(|| {
-            vector::axpy(1.0e-9, black_box(&xa), black_box(&mut acc2));
-            black_box(acc2[0]);
-        }),
-    });
-
-    // clip_norm (f64): per-example DP gradient clipping
-    // (norm2_sq + conditional scale through the lane kernels).
-    cands.push(Candidate {
-        kernel: "clip_norm_f64",
-        variant: "scalar",
-        dim: DIM_F64,
-        body: batched(|| {
-            black_box(clip_norm_scalar(black_box(&mut ga), 1.0));
-        }),
-    });
-    cands.push(Candidate {
-        kernel: "clip_norm_f64",
-        variant: "lanes",
-        dim: DIM_F64,
-        body: batched(|| {
-            black_box(vector::clip_norm(black_box(&mut gb), 1.0));
-        }),
-    });
-
-    // dot (f32): the single serving score path (exact oracle, IVF
-    // rerank, and the TCP front-end all route through it).
-    for dim in [DIM_F32, DIM_F32_WIDE] {
-        let (x, y) = (&xf[..dim], &yf[..dim]);
-        cands.push(Candidate {
-            kernel: "dot_f32",
-            variant: "scalar",
-            dim,
-            body: batched(move || {
-                black_box(dot_f32_scalar(black_box(x), black_box(y)));
-            }),
-        });
-        cands.push(Candidate {
-            kernel: "dot_f32",
-            variant: "lanes",
-            dim,
-            body: batched(move || {
-                black_box(vector::dot_f32(black_box(x), black_box(y)));
-            }),
-        });
+    // One trainer example: a centre, its positive and k distinct
+    // negatives, so the gradient has k + 2 rows, as in a typical step.
+    let model = SkipGramModel::new(NEGATIVES + 2, DIM, &mut SmallRng::seed_from_u64(0x5EED));
+    let sg = Subgraph {
+        center: 0,
+        positive: 1,
+        negatives: (2..NEGATIVES as u32 + 2).collect(),
+        edge_index: 0,
+    };
+    let mut buf = GradBuffer::new();
+    model.example_grad(&sg, 1.0, &mut buf);
+    let mut written = vec![buf.grad_center.clone()];
+    for u in 0..buf.ctx_rows().len() {
+        let mut out = vec![0.0; DIM];
+        buf.add_ctx(u, &mut out);
+        written.push(out);
     }
+    assert_eq!(written.len(), NEGATIVES + 2, "one row per touched node");
+    let clip = TrainConfig::default().clip;
 
-    // dist2_sq (f32): IVF k-means assignment distance.
-    let (x, y) = (&xf[..DIM_F32], &yf[..DIM_F32]);
-    cands.push(Candidate {
-        kernel: "dist2_sq_f32",
-        variant: "scalar",
-        dim: DIM_F32,
-        body: batched(move || {
-            black_box(dist2_sq_f32_scalar(black_box(x), black_box(y)));
-        }),
-    });
-    cands.push(Candidate {
-        kernel: "dist2_sq_f32",
-        variant: "lanes",
-        dim: DIM_F32,
-        body: batched(move || {
-            black_box(vector::dist2_sq_f32(black_box(x), black_box(y)));
-        }),
-    });
-
-    // noise_row: the trainer's per-row Gaussian noise, keyed by
-    // (seed, step, matrix, row) — a fresh row every call, as in a step.
     let keys = NoiseKeys::new(0x5EED);
-    let mut noise = vec![0.0f64; DIM_F64];
-    let mut row = 0u64;
-    cands.push(Candidate {
-        kernel: "noise_row",
-        variant: "lanes",
-        dim: DIM_F64,
-        body: batched(move || {
-            row += 1;
-            keys.fill_row(1, 1, black_box(row), &mut noise, 10.0);
-            black_box(noise[0]);
-        }),
-    });
+    let (mut noise, mut floor) = (vec![0.0f64; DIM], vec![0.0f64; DIM]);
+    let (mut noise_key, mut floor_key) = (0u64, 0u64);
 
-    measure(&mut cands)
+    let (x, ctx) = (&xa[..], [&ya[..], &za[..], &wa[..]]);
+    let mut kernels = vec![
+        // The trainer's score/gradient inner product.
+        Kernel {
+            name: "dot_f64",
+            reference: batched(|| {
+                black_box(dot_scalar(black_box(&xa), black_box(&ya)));
+            }),
+            shipping: batched(|| {
+                black_box(vector::dot(black_box(&xa), black_box(&ya)));
+            }),
+        },
+        // The trainer's inner products of one centre row with three
+        // context rows in one pass.
+        Kernel {
+            name: "dot_rows_f64",
+            reference: batched(move || {
+                let x = black_box(x);
+                black_box(ctx.map(|y| vector::dot(x, black_box(y))));
+            }),
+            shipping: batched(move || {
+                let mut out = [0.0; 3];
+                vector::dot_rows(black_box(x), |j| black_box(ctx[j]), &mut out);
+                black_box(out);
+            }),
+        },
+        // Per-example DP clipping of the joint k + 2-row gradient.
+        Kernel {
+            name: "grad_clip_f64",
+            reference: batched(|| {
+                black_box(clip_scalar(black_box(&written), clip));
+            }),
+            shipping: batched(move || {
+                black_box(black_box(&mut buf).clip(clip));
+            }),
+        },
+        // The serving score path: exact oracle, IVF rerank and TCP.
+        Kernel {
+            name: "dot_f32",
+            reference: batched(|| {
+                black_box(dot_f32_scalar(black_box(&xf), black_box(&yf)));
+            }),
+            shipping: batched(|| {
+                black_box(vector::dot_f32(black_box(&xf), black_box(&yf)));
+            }),
+        },
+        // IVF query-to-centroid and k-means assignment distance.
+        Kernel {
+            name: "dist2_sq_f32",
+            reference: batched(|| {
+                black_box(dist2_sq_f32_scalar(black_box(&xf), black_box(&yf)));
+            }),
+            shipping: batched(|| {
+                black_box(vector::dist2_sq_f32(black_box(&xf), black_box(&yf)));
+            }),
+        },
+        // The trainer's per-row Gaussian noise, keyed by (seed, step,
+        // matrix, row): a fresh row every call, as in a step.
+        Kernel {
+            name: "noise_row",
+            reference: batched(move || {
+                floor_key += 1;
+                noise_floor(black_box(floor_key), &mut floor);
+                black_box(floor[0]);
+            }),
+            shipping: batched(move || {
+                noise_key += 1;
+                keys.fill_row(1, 1, black_box(noise_key), &mut noise, 10.0);
+                black_box(noise[0]);
+            }),
+        },
+    ];
+
+    let medians = measure(&mut kernels);
+    kernels
+        .iter()
+        .zip(medians.chunks_exact(2))
+        .flat_map(|(k, m)| {
+            [
+                kernels::row(k.name, "reference", DIM, m[0]),
+                kernels::row(k.name, "shipping", DIM, m[1]),
+                kernels::ratio(k.name, DIM, m[0], m[1]),
+            ]
+        })
+        .collect()
 }
 
-/// Calibrates a batch size per candidate, then samples all candidates
-/// round-robin: round `r` times one batch of every kernel before any
-/// kernel sees round `r + 1`, so a noisy scheduling window perturbs
-/// one sample of many kernels instead of every sample of one. Medians
-/// are rounded to 0.01 ns.
-fn measure(cands: &mut [Candidate]) -> Vec<Row> {
+/// Calibrates a batch size per body, then samples all bodies
+/// round-robin: round `r` times one batch of every body before any
+/// body sees round `r + 1`, so a noisy scheduling window perturbs one
+/// sample of many kernels instead of every sample of one. Returns each
+/// kernel's reference and shipping medians, in that order, rounded to
+/// 0.01 ns.
+fn measure(kernels: &mut [Kernel]) -> Vec<f64> {
+    let mut bodies: Vec<&mut Body> = kernels
+        .iter_mut()
+        .flat_map(|k| [&mut k.reference, &mut k.shipping])
+        .collect();
     // Calibration doubles as warm-up. `reps` counts UNROLL-call
     // batches per timed sample.
-    let reps: Vec<usize> = cands
+    let reps: Vec<usize> = bodies
         .iter_mut()
-        .map(|c| {
+        .map(|body| {
             let t0 = Instant::now();
             for _ in 0..CALIBRATION_BATCHES {
-                (c.body)();
+                body();
             }
             let per_batch = t0.elapsed().as_nanos() as f64 / CALIBRATION_BATCHES as f64;
             ((TARGET_SAMPLE_NS / per_batch.max(1.0)) as usize).clamp(16, 100_000)
         })
         .collect();
 
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(SAMPLES); cands.len()];
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(SAMPLES); bodies.len()];
     for _ in 0..SAMPLES {
-        for (i, c) in cands.iter_mut().enumerate() {
+        for (i, body) in bodies.iter_mut().enumerate() {
             let t0 = Instant::now();
             for _ in 0..reps[i] {
-                (c.body)();
+                body();
             }
             samples[i].push(t0.elapsed().as_nanos() as f64 / (reps[i] * UNROLL) as f64);
         }
     }
-
-    cands
-        .iter()
-        .zip(samples.iter_mut())
-        .map(|(c, s)| {
-            let median_ns = (gate::median(s) * 100.0).round() / 100.0;
-            kernels::row(c.kernel, c.variant, c.dim, median_ns)
-        })
+    samples
+        .iter_mut()
+        .map(|s| (gate::median(s) * 100.0).round() / 100.0)
         .collect()
 }
 
-// --- scalar reference loops (plain indexed code, no lane shaping) ---
+// --- references (plain indexed code, no lane shaping) ---
 
 fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     let mut s = 0.0;
@@ -312,24 +274,18 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     s
 }
 
-fn axpy_scalar(y: &mut [f64], a: f64, x: &[f64]) {
-    for i in 0..y.len().min(x.len()) {
-        y[i] += a * x[i];
-    }
-}
-
-fn clip_norm_scalar(x: &mut [f64], max_norm: f64) -> f64 {
-    let mut n2 = 0.0;
-    for &v in x.iter() {
-        n2 += v * v;
-    }
-    let n = n2.sqrt();
-    if n > max_norm {
-        let f = max_norm / n;
-        for v in x.iter_mut() {
-            *v *= f;
+/// The clip factor of the joint gradient made of `rows`: sum of
+/// squares, `sqrt`, compare.
+fn clip_scalar(rows: &[Vec<f64>], c: f64) -> f64 {
+    let mut sq = 0.0;
+    for row in rows {
+        for &v in row {
+            sq += v * v;
         }
-        f
+    }
+    let norm = sq.sqrt();
+    if norm > c {
+        c / norm
     } else {
         1.0
     }
@@ -352,6 +308,16 @@ fn dist2_sq_f32_scalar(x: &[f32], y: &[f32]) -> f32 {
     s
 }
 
+/// The floor under a keyed noise row: the generator seeded per row
+/// and one raw word per element, converted as the ziggurat converts
+/// its position bits, with no Gaussian transform.
+fn noise_floor(row: u64, out: &mut [f64]) {
+    let mut rng = SmallRng::seed_from_u64(row);
+    for v in out {
+        *v = (rng.next_u64() >> 11) as f64;
+    }
+}
+
 /// splitmix64-fed uniform in [-1, 1): deterministic operand fill.
 fn unit_f64(state: &mut u64) -> f64 {
     let z = sp_parallel::splitmix64(*state);
@@ -362,20 +328,17 @@ fn unit_f64(state: &mut u64) -> f64 {
 // --- reporting ---
 
 fn print_table(rows: &[Row]) {
-    println!("{:<24} {:>12} {:>4}", "metric", "median_ns", "gate");
+    println!(
+        "{:<28} {:>10} {:>6} {:>4}",
+        "metric", "value", "unit", "gate"
+    );
     for r in rows {
-        println!("{:<24} {:>12.2} {:>4}", r.metric, r.value, u8::from(r.gate));
-    }
-    for r in rows.iter().filter(|r| r.metric.contains(".lanes.")) {
-        let scalar = r.metric.replace(".lanes.", ".scalar.");
-        if let Some(s) = rows.iter().find(|s| s.metric == scalar) {
-            println!(
-                "  {}: lanes {:.2} ns vs scalar {:.2} ns ({:.2}x)",
-                r.metric,
-                r.value,
-                s.value,
-                s.value / r.value
-            );
-        }
+        println!(
+            "{:<28} {:>10.3} {:>6} {:>4}",
+            r.metric,
+            r.value,
+            r.unit,
+            u8::from(r.gate)
+        );
     }
 }

@@ -2,12 +2,12 @@
 //! `metric unit value gate` TSV schema, its parser, the
 //! baseline-vs-fresh comparison and its report.
 //!
-//! `sp_kernel_bench` records every kernel median and gates the `lanes`
-//! rows (the shipping kernels); `sp_scale_bench` records the blocked
-//! pipeline's byte, count and time metrics and gates the byte counts.
-//! The TSV is the one record each bench writes: CI re-runs the bench
-//! into a fresh directory and compares it with the committed baseline
-//! under `crates/bench/results/`.
+//! `sp_kernel_bench` records each kernel's reference and shipping
+//! medians and gates their same-run ratio; `sp_scale_bench` records the
+//! blocked pipeline's byte, count and time metrics and gates the byte
+//! counts. The TSV is the one record each bench writes: CI re-runs
+//! the bench into a fresh directory and compares it with the committed
+//! baseline under `crates/bench/results/`.
 //!
 //! The rule: rows match on metric and unit. A baseline row with
 //! `gate = 1` fails when its fresh value exceeds
@@ -16,8 +16,9 @@
 //! show it did not regress. Fresh-only rows pass until the baseline is
 //! re-committed. Rows with `gate = 0` are recorded for humans reading
 //! the artefact and never fail the build. Which rows gate is each
-//! bench's choice, made by [`crate::kernels::row`] and
-//! [`crate::scale::row`]; their tests check the rule on those rows.
+//! bench's choice, made by [`crate::kernels::row`],
+//! [`crate::kernels::ratio`] and [`crate::scale::row`]; their tests
+//! check the rule on those rows.
 
 use crate::harness::{tsv_path, write_tsv};
 use std::path::{Path, PathBuf};
@@ -25,9 +26,9 @@ use std::path::{Path, PathBuf};
 /// One recorded metric, i.e. one TSV row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
-    /// Metric name (`dot_f64.lanes.128`, `blocked_peak_bytes`, …).
+    /// Metric name (`dot_f64.ratio.128`, `blocked_peak_bytes`, …).
     pub metric: String,
-    /// Unit of `value` (`ns`, `bytes`, `count`).
+    /// Unit of `value` (`ns`, `ratio`, `bytes`, `count`).
     pub unit: String,
     /// The measured value.
     pub value: f64,
@@ -320,12 +321,29 @@ mod tests {
         };
 
         let kernels = read("kernels.tsv");
-        assert_eq!(kernels.len(), 15);
+        assert_eq!(kernels.len(), 18);
         for r in &kernels {
-            assert_eq!(r.unit, "ns", "{r:?}");
-            assert_eq!(r.gate, r.metric.contains(".lanes."), "{r:?}");
+            assert_eq!(r.gate, r.unit == "ratio", "{r:?}");
+            assert!(r.gate || r.unit == "ns", "{r:?}");
         }
-        assert_eq!(kernels.iter().filter(|r| r.gate).count(), 8);
+        assert_eq!(kernels.iter().filter(|r| r.gate).count(), 6);
+        // Each pinned ratio is its shipping median over its reference
+        // median, as the same file records them.
+        let ns = |kernel: &str, variant: &str, dim: &str| {
+            let metric = format!("{kernel}.{variant}.{dim}");
+            let r = kernels.iter().find(|r| r.metric == metric);
+            r.unwrap_or_else(|| panic!("{metric} missing")).value
+        };
+        for r in kernels.iter().filter(|r| r.gate) {
+            let [kernel, "ratio", dim] = r.metric.split('.').collect::<Vec<_>>()[..] else {
+                panic!("{r:?}")
+            };
+            let (reference, shipping) = (ns(kernel, "reference", dim), ns(kernel, "shipping", dim));
+            assert_eq!(
+                r,
+                &crate::kernels::ratio(kernel, dim.parse().unwrap(), reference, shipping)
+            );
+        }
 
         let scale = read("scale.tsv");
         assert_eq!(scale.len(), 14);

@@ -14,10 +14,11 @@
 //!   dataset sizes, epochs, and 10 repetitions.
 //!
 //! Two more bins are CI regression gates: `sp_kernel_bench` times the
-//! training and serving kernels, and `sp_scale_bench` byte-accounts the
-//! out-of-core proximity → Alg. 1 → Alg. 2 pipeline. Each writes one
-//! `metric unit value gate` TSV and compares it with its committed
-//! baseline through [`gate`].
+//! training and serving kernels against references timed in the same
+//! run and gates the ratios ([`kernels`]), and `sp_scale_bench`
+//! byte-accounts the out-of-core proximity → Alg. 1 → Alg. 2 pipeline.
+//! Each writes one `metric unit value gate` TSV and compares it with its
+//! committed baseline through [`gate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

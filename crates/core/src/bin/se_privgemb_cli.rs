@@ -39,6 +39,15 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// `eprintln!` that ignores a failed write: a status note or error line
+/// lost to a closed pipe or a full disk must not turn the exit status
+/// into a panic.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
     Tsv,
@@ -317,7 +326,7 @@ fn provision(args: &Args) -> Result<(Graph, Vec<u64>, String), String> {
                 if let Some(path) = ds.locate(dir) {
                     return from_file(&path);
                 }
-                eprintln!(
+                note!(
                     "note: no {} edge list under {}; generating the synthetic stand-in",
                     ds.name(),
                     dir.display()
@@ -384,7 +393,7 @@ fn run_train(argv: &[String]) -> Result<(), String> {
     // Before the graph loads: a bad parameter is a usage error.
     let model = configure(&args)?;
     let (g, original, source) = provision(&args)?;
-    eprintln!(
+    note!(
         "loaded {source}: {} nodes, {} edges",
         g.num_nodes(),
         g.num_edges()
@@ -397,16 +406,16 @@ fn run_train(argv: &[String]) -> Result<(), String> {
                 .fit_checkpointed(&g, args.resume)
                 .map_err(|e| format!("checkpointed training failed: {e}"))?;
             match &run.resumed_from {
-                Some(path) => eprintln!("resumed from {}", path.display()),
+                Some(path) => note!("resumed from {}", path.display()),
                 None if args.resume => {
-                    eprintln!("no checkpoint under {}; starting fresh", dir.display())
+                    note!("no checkpoint under {}; starting fresh", dir.display())
                 }
                 None => {}
             }
             run.result
         }
     };
-    eprintln!(
+    note!(
         "trained: {} epochs ({} steps), ε spent = {:.4}, stopped by budget: {}",
         result.report.epochs_run,
         result.report.steps_run,
@@ -417,7 +426,7 @@ fn run_train(argv: &[String]) -> Result<(), String> {
     match args.output_format {
         OutputFormat::Tsv => {
             write_tsv(&args, &g, &original, result.embeddings())?;
-            eprintln!(
+            note!(
                 "wrote {} embeddings of dimension {} to {}",
                 g.num_nodes(),
                 args.dim,
@@ -437,7 +446,7 @@ fn run_train(argv: &[String]) -> Result<(), String> {
             let file = ModelFile::from_skipgram(&result.model, provenance);
             file.write_atomic(std::path::Path::new(&args.output))
                 .map_err(|e| format!("cannot write {}: {e}", args.output))?;
-            eprintln!(
+            note!(
                 "published {} node vectors of dimension {} to {} (.spm, seed {}, ε {:.4})",
                 g.num_nodes(),
                 args.dim,
@@ -455,7 +464,7 @@ fn run_query(argv: &[String]) -> Result<(), String> {
     let store = EmbeddingStore::open(&args.model)
         .map_err(|e| format!("cannot load {}: {e}", args.model.display()))?;
     let p = store.provenance();
-    eprintln!(
+    note!(
         "serving {}: {} nodes, dim {}, seed {}, ε {:.4}, δ {:.2e}",
         args.model.display(),
         store.num_nodes(),
@@ -476,11 +485,15 @@ fn run_query(argv: &[String]) -> Result<(), String> {
         }
     };
 
+    // The answer is the command's output: failing to write it is an
+    // error, unlike failing to write a note.
+    let mut out = std::io::stdout().lock();
+    let write_err = |e: std::io::Error| format!("cannot write the answer: {e}");
     if let Some((u, v)) = args.link {
         check_node(u)?;
         check_node(v)?;
-        println!("{u}\t{v}\t{:.6}", store.link_score(u, v));
-        return Ok(());
+        writeln!(out, "{u}\t{v}\t{:.6}", store.link_score(u, v)).map_err(write_err)?;
+        return out.flush().map_err(write_err);
     }
 
     let node = args.node.expect("node xor link enforced by the parser");
@@ -498,7 +511,7 @@ fn run_query(argv: &[String]) -> Result<(), String> {
             if let Some(min_recall) = args.check_recall {
                 let exact = store.exact_top_k_node(node, args.k);
                 let recall = recall_at_k(&answer, &exact);
-                eprintln!(
+                note!(
                     "recall@{} vs exact oracle: {recall:.4} (threshold {min_recall})",
                     args.k
                 );
@@ -513,9 +526,9 @@ fn run_query(argv: &[String]) -> Result<(), String> {
         }
     };
     for (rank, n) in answer.iter().enumerate() {
-        println!("{}\t{}\t{:.6}", rank + 1, n.node, n.score);
+        writeln!(out, "{}\t{}\t{:.6}", rank + 1, n.node, n.score).map_err(write_err)?;
     }
-    Ok(())
+    out.flush().map_err(write_err)
 }
 
 fn main() -> ExitCode {
@@ -527,7 +540,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("{e}");
+            note!("{e}");
             ExitCode::FAILURE
         }
     }

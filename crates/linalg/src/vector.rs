@@ -146,8 +146,7 @@ fn fold_lanes(lanes: [f64; LANES_F64], xt: &[f64], yt: &[f64]) -> f64 {
 /// bit-identical in any loop shape. The bounds-check-free zip over
 /// `[..n]` is the shape LLVM vectorizes widest for streaming
 /// map-stores — measurably faster here than a hand-chunked lane loop
-/// (`sp_kernel_bench`: the chunk-of-4 shape was ~2x slower than this
-/// at `n = 128`).
+/// (the chunk-of-4 shape ran ~2x slower than this at `n = 128`).
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
@@ -320,22 +319,6 @@ pub fn log_sigmoid(x: f64) -> f64 {
         -(-x).exp().ln_1p()
     } else {
         x - x.exp().ln_1p()
-    }
-}
-
-/// Rescales `x` so that its Euclidean norm is at most `max_norm`
-/// (the DPSGD clipping kernel). Returns the scaling factor applied
-/// (`1.0` when no clipping happened).
-#[inline]
-pub fn clip_norm(x: &mut [f64], max_norm: f64) -> f64 {
-    assert!(max_norm > 0.0, "clip_norm: max_norm must be positive");
-    let n = norm2(x);
-    if n > max_norm {
-        let f = max_norm / n;
-        scale(f, x);
-        f
-    } else {
-        1.0
     }
 }
 
@@ -604,24 +587,5 @@ mod tests {
         // And stays finite where the naive form underflows to ln(0).
         assert!(log_sigmoid(-800.0).is_finite());
         assert!((log_sigmoid(-800.0) - (-800.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_norm_clips_only_above_threshold() {
-        let mut x = vec![3.0, 4.0];
-        let f = clip_norm(&mut x, 10.0);
-        assert_eq!(f, 1.0);
-        assert_eq!(x, vec![3.0, 4.0]);
-
-        let f = clip_norm(&mut x, 1.0);
-        assert!((f - 0.2).abs() < 1e-15);
-        assert!((norm2(&x) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_norm must be positive")]
-    fn clip_norm_rejects_nonpositive_threshold() {
-        let mut x = vec![1.0];
-        clip_norm(&mut x, 0.0);
     }
 }

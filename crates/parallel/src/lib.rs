@@ -21,13 +21,6 @@
 //! - [`par_map`] and [`par_map_chunks`] therefore preserve input order
 //!   exactly; since item computations are independent, the output is
 //!   identical to the serial map for any thread count.
-//! - [`par_reduce`] folds the per-chunk partials over a **fixed
-//!   balanced binary tree** (adjacent pairs, repeated). Floating-point
-//!   addition is not associative, so the *shape* of the reduction tree
-//!   is part of the result; fixing the shape as a function of the chunk
-//!   count alone makes the reduction thread-count-invariant. Callers
-//!   that need the result to also be *chunk-size*-invariant must pass
-//!   an explicit, fixed `chunk_size`.
 //!
 //! A panic inside a worker propagates to the caller when the scope
 //! joins (the remaining chunks may or may not have run).
@@ -210,41 +203,6 @@ where
     out
 }
 
-/// Deterministic parallel reduction: maps each fixed-boundary chunk of
-/// `0..n` to a partial with `map`, then folds the partials over a
-/// balanced binary tree (adjacent pairs, repeated) with `combine`.
-///
-/// The tree shape depends only on the chunk count `⌈n / chunk_size⌉`,
-/// so for a fixed `chunk_size` the result is bit-identical for every
-/// thread count — the property the proximity and gradient reductions
-/// need for seeded reproducibility. Returns `None` when `n == 0`.
-pub fn par_reduce<A, M, C>(
-    n: usize,
-    chunk_size: usize,
-    threads: usize,
-    map: M,
-    combine: C,
-) -> Option<A>
-where
-    A: Send,
-    M: Fn(Range<usize>) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let mut level: Vec<A> = par_map_chunks(n, chunk_size, threads, map);
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(combine(a, b)),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    level.into_iter().next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,36 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_empty_is_none() {
-        assert!(par_reduce(0, 8, 4, |_| 0.0f64, |a, b| a + b).is_none());
-    }
-
-    #[test]
-    fn par_reduce_sums_match_for_any_thread_count() {
-        let xs: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 37) % 101) as f64 * 0.013)
-            .collect();
-        let reduce = |threads: usize| {
-            par_reduce(
-                xs.len(),
-                256,
-                threads,
-                |r| xs[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap()
-        };
-        let base = reduce(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                base.to_bits(),
-                reduce(threads).to_bits(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "worker exploded")]
     fn worker_panic_propagates_inline() {
         // threads=1 runs inline, so the payload surfaces verbatim.
@@ -356,9 +284,9 @@ mod tests {
     #[test]
     fn ten_k_trivial_map_is_not_contention_bound() {
         // Regression guard for the old one-Mutex-per-item slot design:
-        // a 10k-item map with a trivial body must complete well inside
-        // the stub-criterion per-sample budget (~1 ms), not serialise
-        // on a lock. Generous bound for noisy shared CI runners.
+        // a 10k-item map with a trivial body takes well under a
+        // millisecond when it does not serialise on a lock. Generous
+        // bound for noisy shared CI runners.
         let items: Vec<u64> = (0..10_000).collect();
         let t0 = Instant::now();
         let out = par_map(&items, 4, |&x| x ^ 0x5EED);

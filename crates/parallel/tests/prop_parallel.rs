@@ -1,9 +1,8 @@
 //! Property-based tests for the deterministic worker-pool primitives:
-//! order preservation under arbitrary chunking, and thread-count
-//! invariance of the fixed-shape tree reduction.
+//! order preservation under arbitrary chunking.
 
 use proptest::prelude::*;
-use sp_parallel::{par_map, par_map_chunks, par_reduce};
+use sp_parallel::{par_map, par_map_chunks};
 
 proptest! {
     #[test]
@@ -34,38 +33,5 @@ proptest! {
             cursor = r.end;
         }
         prop_assert_eq!(cursor, n);
-    }
-
-    #[test]
-    fn par_reduce_is_thread_count_invariant(
-        xs in proptest::collection::vec(-1e3f64..1e3, 1..300),
-        chunk in 1usize..32,
-        threads_a in 1usize..6,
-        threads_b in 1usize..6,
-    ) {
-        // Same (n, chunk_size) => same chunk boundaries and the same
-        // reduction-tree shape, so the float sum is bit-identical no
-        // matter how many workers raced over the chunks.
-        let sum = |threads: usize| {
-            par_reduce(
-                xs.len(),
-                chunk,
-                threads,
-                |r| xs[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap()
-        };
-        prop_assert_eq!(sum(threads_a).to_bits(), sum(threads_b).to_bits());
-    }
-
-    #[test]
-    fn par_reduce_uneven_chunks_cover_everything(
-        n in 1usize..400,
-        chunk in 1usize..50,
-    ) {
-        // Count-reduction equals n regardless of chunk-size remainder.
-        let count = par_reduce(n, chunk, 4, |r| r.len(), |a, b| a + b).unwrap();
-        prop_assert_eq!(count, n);
     }
 }

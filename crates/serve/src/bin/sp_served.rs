@@ -14,10 +14,19 @@
 //! atomically; `SHUTDOWN` drains in-flight requests and exits 0.
 
 use sp_serve::{EmbeddingStore, IvfConfig, IvfIndex, Server, ServerConfig, ServingStore};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `writeln!` to `out` that ignores a failed write: a status line lost
+/// to a closed pipe or a full disk must not kill the server.
+macro_rules! note {
+    ($out:expr, $($arg:tt)*) => {{
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
 
 fn usage() -> &'static str {
     "usage: sp_served --model <file.spm> --listen <addr:port>\n\
@@ -101,7 +110,8 @@ fn run(args: Args) -> Result<(), String> {
     let store = EmbeddingStore::open(&args.model)
         .map_err(|e| format!("cannot load {}: {e}", args.model.display()))?;
     let p = store.provenance();
-    eprintln!(
+    note!(
+        std::io::stderr(),
         "loaded {}: {} nodes, dim {}, seed {}, ε {:.4}, δ {:.2e}",
         args.model.display(),
         store.num_nodes(),
@@ -131,14 +141,19 @@ fn run(args: Args) -> Result<(), String> {
     let addr = server
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    println!(
+    note!(
+        std::io::stdout(),
         "sp_served listening on {addr} (SPSERVE {})",
         sp_serve::protocol::PROTOCOL_VERSION
     );
     let report = server.run().map_err(|e| format!("server failed: {e}"))?;
-    println!(
+    note!(
+        std::io::stdout(),
         "sp_served drained: {} requests ({} errors) over {} connections ({} rejected)",
-        report.requests, report.errors, report.connections, report.rejected
+        report.requests,
+        report.errors,
+        report.connections,
+        report.rejected
     );
     Ok(())
 }
@@ -148,7 +163,7 @@ fn main() -> ExitCode {
     match parse_args(&argv).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("{e}");
+            note!(std::io::stderr(), "{e}");
             ExitCode::FAILURE
         }
     }
