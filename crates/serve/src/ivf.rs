@@ -424,6 +424,63 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        words
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325, |mut h: u64, w| {
+                for b in w.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                h
+            })
+    }
+
+    #[test]
+    fn build_and_answers_golden_digests() {
+        // Pinned bit for bit: every centroid's f32 bits and every list
+        // (its length, then its members), then the top-10 answers
+        // (node, score bits) of every 23rd node at the default probe
+        // count. The stores have more clusters than lists, so
+        // assignments still move at the last iteration. At r = 128 the
+        // distances run whole lane chunks and whole row groups; at
+        // r = 12 with 13 lists they end in a four-element lane tail and
+        // a one-row group.
+        let n = 2000;
+        for ((dim, clusters, nlist), golden) in [
+            (
+                (128, 200, 64),
+                [0x0040_0767_b9b6_53fb, 0x0fe1_31aa_afba_7208],
+            ),
+            ((12, 40, 13), [0xf3c6_95d0_ba84_d48d, 0x3892_584b_89ef_a235]),
+        ] {
+            let store = clustered_store(n, dim, clusters);
+            let cfg = IvfConfig {
+                nlist,
+                iters: 3,
+                ..IvfConfig::default()
+            };
+            let idx = IvfIndex::build(&store, cfg, None);
+            let lists = idx
+                .lists
+                .iter()
+                .flat_map(|l| std::iter::once(l.len() as u32).chain(l.iter().copied()));
+            let index = fnv1a(idx.centroids.iter().map(|v| v.to_bits()).chain(lists));
+            let answers = fnv1a(
+                (0..n as u32)
+                    .step_by(23)
+                    .flat_map(|q| idx.top_k_node(&store, q, 10, idx.nprobe_default()))
+                    .flat_map(|nb| [nb.node, nb.score.to_bits()]),
+            );
+            assert_eq!(
+                [index, answers],
+                golden,
+                "{n}x{dim} nlist {nlist}: centroids, lists or answers drifted"
+            );
+        }
+    }
+
     #[test]
     fn nlist_larger_than_n_is_clamped() {
         let store = clustered_store(5, 4, 2);
