@@ -1,7 +1,8 @@
 //! Hot-path kernel bench + CI regression gate.
 //!
-//! Times the kernels the trainer and the server run at the paper's
-//! r = 128, each against a reference timed in the same run:
+//! Times the kernels the trainer and the server run, the vector
+//! kernels at the paper's r = 128 and the checksum over 64 KiB, each
+//! against a reference timed in the same run:
 //!
 //! | kernel | reference | shipping |
 //! |---|---|---|
@@ -10,7 +11,9 @@
 //! | `grad_clip_f64` | plain loop over the example's k + 2 = 7 written-out rows | `GradBuffer::clip` on one k = 5 example |
 //! | `dot_f32` | plain loop | `vector::dot_f32` |
 //! | `dist2_sq_f32` | plain loop | `vector::dist2_sq_f32` |
+//! | `dist2_rows_f32` | four `vector::dist2_sq_f32` calls | `vector::dist2_sq_f32_rows` over four rows |
 //! | `noise_row` | floor: a `SmallRng` seeded per row, 128 raw words to `f64` | `NoiseKeys::fill_row` |
+//! | `crc32` | the `crc32_step` fold, one byte per step | `sp_parallel::crc32` (slicing-by-16) |
 //!
 //! Each kernel writes three rows of `kernels.tsv` in the shared
 //! [`sp_bench::gate`] schema (`SP_RESULTS_DIR` respected): the
@@ -25,12 +28,14 @@
 //!   (read before the run; refused when it is the `kernels.tsv` this
 //!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere).
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
-//!   (default `0.15` = 15%).
+//!   (default `0.15` = 15%). Read before the run; a value that is not
+//!   a finite number ≥ 0 (`50%`, `0,5`, `NaN`) exits 1.
 //!
 //! Methodology: each sample times a calibrated batch of kernel calls
 //! (sized so one batch spans roughly [`TARGET_SAMPLE_NS`], keeping
-//! the timer overhead negligible even for single-digit-ns kernels)
-//! and divides by the batch size. Samples are taken **round-robin
+//! the timer overhead negligible even for single-digit-ns kernels,
+//! while a 64 KiB checksum takes a handful of calls) and divides by
+//! the batch size. Samples are taken **round-robin
 //! across all kernels**, each reference right before its shipping
 //! kernel — a noisy scheduling window on a shared runner then inflates
 //! one sample of many kernels instead of every sample of one kernel —
@@ -42,6 +47,7 @@ use sp_bench::gate::{self, Row};
 use sp_bench::kernels;
 use sp_dp::NoiseKeys;
 use sp_linalg::vector;
+use sp_parallel::{crc32, crc32_step};
 use sp_skipgram::model::GradBuffer;
 use sp_skipgram::{SkipGramModel, Subgraph, TrainConfig};
 use std::hint::black_box;
@@ -49,6 +55,8 @@ use std::time::Instant;
 
 /// Paper embedding dimension: the trainer's rows and the served ones.
 const DIM: usize = 128;
+/// Bytes per checksum call.
+const CRC_BYTES: usize = 64 << 10;
 /// Negatives per example, as the trainer's default.
 const NEGATIVES: usize = 5;
 /// Odd sample count -> median is a real observation.
@@ -56,17 +64,12 @@ const SAMPLES: usize = 31;
 /// Target wall-clock span of one timed batch; the per-kernel batch
 /// size is calibrated to hit it.
 const TARGET_SAMPLE_NS: f64 = 250_000.0;
-/// Kernel calls per closure invocation: amortises the dynamic
-/// dispatch to ~0.03 ns/call so single-digit-ns kernels measure the
-/// kernel, not the call.
-const UNROLL: usize = 64;
-/// Closure invocations used for the calibration pass itself.
-const CALIBRATION_BATCHES: usize = 64;
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    // Read the baseline before this run writes its own kernels.tsv.
+    // Read the baseline and the tolerance before this run writes its
+    // own kernels.tsv; either exits 1 when it is bad.
     let baseline = gate::baseline(&argv, "kernels");
+    let tolerance = gate::tolerance();
 
     println!(
         "=== sp_kernel_bench: {SAMPLES} interleaved samples x ~{}us per batch ===",
@@ -77,28 +80,30 @@ fn main() {
     gate::write("kernels", &rows);
 
     if let Some(baseline) = baseline {
-        if !gate::check(&baseline, &rows, gate::tolerance()) {
+        if !gate::check(&baseline, &rows, tolerance) {
             std::process::exit(1);
         }
     }
 }
 
-/// A batch of [`UNROLL`] calls of one kernel, operands pre-bound.
-type Body<'a> = Box<dyn FnMut() + 'a>;
+/// A batch of `n` calls of one kernel, operands pre-bound.
+type Body<'a> = Box<dyn FnMut(usize) + 'a>;
 
-/// One kernel: its reference and its shipping form.
+/// One kernel: its reference and its shipping form, at one size.
 struct Kernel<'a> {
     name: &'static str,
+    /// Vector length, or bytes for the checksum.
+    dim: usize,
     reference: Body<'a>,
     shipping: Body<'a>,
 }
 
-/// Wraps one kernel call into an [`UNROLL`]-call boxed batch; the
-/// kernel is monomorphised and inlined inside the loop, so only the
-/// batch boundary pays the dynamic dispatch.
+/// Wraps one kernel call into a boxed batch; the kernel is
+/// monomorphised and inlined inside the loop, so only the batch
+/// boundary pays the dynamic dispatch.
 fn batched<'a>(mut f: impl FnMut() + 'a) -> Body<'a> {
-    Box::new(move || {
-        for _ in 0..UNROLL {
+    Box::new(move |n| {
+        for _ in 0..n {
             f();
         }
     })
@@ -109,8 +114,12 @@ fn run_all() -> Vec<Row> {
     let mut rng = 0x5EED_CAFE_u64;
     let mut row = || -> Vec<f64> { (0..DIM).map(|_| unit_f64(&mut rng)).collect() };
     let (xa, ya, za, wa) = (row(), row(), row(), row());
-    let xf: Vec<f32> = row().iter().map(|&v| v as f32).collect();
-    let yf: Vec<f32> = row().iter().map(|&v| v as f32).collect();
+    let mut row_f32 = || -> Vec<f32> { row().iter().map(|&v| v as f32).collect() };
+    let (xf, yf) = (row_f32(), row_f32());
+    let centroids = [row_f32(), row_f32(), row_f32(), row_f32()];
+    let bytes: Vec<u8> = (0..CRC_BYTES as u64)
+        .map(|i| sp_parallel::splitmix64(i) as u8)
+        .collect();
 
     // One trainer example: a centre, its positive and k distinct
     // negatives, so the gradient has k + 2 rows, as in a typical step.
@@ -137,10 +146,12 @@ fn run_all() -> Vec<Row> {
     let (mut noise_key, mut floor_key) = (0u64, 0u64);
 
     let (x, ctx) = (&xa[..], [&ya[..], &za[..], &wa[..]]);
+    let (q, cs): (&[f32], [&[f32]; 4]) = (&xf, std::array::from_fn(|j| &centroids[j][..]));
     let mut kernels = vec![
         // The trainer's score/gradient inner product.
         Kernel {
             name: "dot_f64",
+            dim: DIM,
             reference: batched(|| {
                 black_box(dot_scalar(black_box(&xa), black_box(&ya)));
             }),
@@ -152,6 +163,7 @@ fn run_all() -> Vec<Row> {
         // context rows in one pass.
         Kernel {
             name: "dot_rows_f64",
+            dim: DIM,
             reference: batched(move || {
                 let x = black_box(x);
                 black_box(ctx.map(|y| vector::dot(x, black_box(y))));
@@ -165,6 +177,7 @@ fn run_all() -> Vec<Row> {
         // Per-example DP clipping of the joint k + 2-row gradient.
         Kernel {
             name: "grad_clip_f64",
+            dim: DIM,
             reference: batched(|| {
                 black_box(clip_scalar(black_box(&written), clip));
             }),
@@ -175,6 +188,7 @@ fn run_all() -> Vec<Row> {
         // The serving score path: exact oracle, IVF rerank and TCP.
         Kernel {
             name: "dot_f32",
+            dim: DIM,
             reference: batched(|| {
                 black_box(dot_f32_scalar(black_box(&xf), black_box(&yf)));
             }),
@@ -185,6 +199,7 @@ fn run_all() -> Vec<Row> {
         // IVF query-to-centroid and k-means assignment distance.
         Kernel {
             name: "dist2_sq_f32",
+            dim: DIM,
             reference: batched(|| {
                 black_box(dist2_sq_f32_scalar(black_box(&xf), black_box(&yf)));
             }),
@@ -192,10 +207,26 @@ fn run_all() -> Vec<Row> {
                 black_box(vector::dist2_sq_f32(black_box(&xf), black_box(&yf)));
             }),
         },
+        // IVF k-means assignment and probe ordering: one vector's
+        // distances to four centroids in one pass.
+        Kernel {
+            name: "dist2_rows_f32",
+            dim: DIM,
+            reference: batched(move || {
+                let q = black_box(q);
+                black_box(cs.map(|c| vector::dist2_sq_f32(q, black_box(c))));
+            }),
+            shipping: batched(move || {
+                let mut out = [0.0; 4];
+                vector::dist2_sq_f32_rows(black_box(q), |j| black_box(cs[j]), &mut out);
+                black_box(out);
+            }),
+        },
         // The trainer's per-row Gaussian noise, keyed by (seed, step,
         // matrix, row): a fresh row every call, as in a step.
         Kernel {
             name: "noise_row",
+            dim: DIM,
             reference: batched(move || {
                 floor_key += 1;
                 noise_floor(black_box(floor_key), &mut floor);
@@ -207,6 +238,17 @@ fn run_all() -> Vec<Row> {
                 black_box(noise[0]);
             }),
         },
+        // The checksum of every .spm and .spc written and read.
+        Kernel {
+            name: "crc32",
+            dim: CRC_BYTES,
+            reference: batched(|| {
+                black_box(crc32_bytewise(black_box(&bytes)));
+            }),
+            shipping: batched(|| {
+                black_box(crc32(black_box(&bytes)));
+            }),
+        },
     ];
 
     let medians = measure(&mut kernels);
@@ -215,9 +257,9 @@ fn run_all() -> Vec<Row> {
         .zip(medians.chunks_exact(2))
         .flat_map(|(k, m)| {
             [
-                kernels::row(k.name, "reference", DIM, m[0]),
-                kernels::row(k.name, "shipping", DIM, m[1]),
-                kernels::ratio(k.name, DIM, m[0], m[1]),
+                kernels::row(k.name, "reference", k.dim, m[0]),
+                kernels::row(k.name, "shipping", k.dim, m[1]),
+                kernels::ratio(k.name, k.dim, m[0], m[1]),
             ]
         })
         .collect()
@@ -234,17 +276,21 @@ fn measure(kernels: &mut [Kernel]) -> Vec<f64> {
         .iter_mut()
         .flat_map(|k| [&mut k.reference, &mut k.shipping])
         .collect();
-    // Calibration doubles as warm-up. `reps` counts UNROLL-call
-    // batches per timed sample.
-    let reps: Vec<usize> = bodies
+    // Calibration doubles as warm-up: double a body's call count until
+    // one batch spans the target, then scale the count to it.
+    let calls: Vec<usize> = bodies
         .iter_mut()
         .map(|body| {
-            let t0 = Instant::now();
-            for _ in 0..CALIBRATION_BATCHES {
-                body();
+            let mut n = 1;
+            loop {
+                let t0 = Instant::now();
+                body(n);
+                let ns = t0.elapsed().as_nanos() as f64;
+                if ns >= TARGET_SAMPLE_NS {
+                    break ((n as f64 * TARGET_SAMPLE_NS / ns) as usize).max(1);
+                }
+                n *= 2;
             }
-            let per_batch = t0.elapsed().as_nanos() as f64 / CALIBRATION_BATCHES as f64;
-            ((TARGET_SAMPLE_NS / per_batch.max(1.0)) as usize).clamp(16, 100_000)
         })
         .collect();
 
@@ -252,10 +298,8 @@ fn measure(kernels: &mut [Kernel]) -> Vec<f64> {
     for _ in 0..SAMPLES {
         for (i, body) in bodies.iter_mut().enumerate() {
             let t0 = Instant::now();
-            for _ in 0..reps[i] {
-                body();
-            }
-            samples[i].push(t0.elapsed().as_nanos() as f64 / (reps[i] * UNROLL) as f64);
+            body(calls[i]);
+            samples[i].push(t0.elapsed().as_nanos() as f64 / calls[i] as f64);
         }
     }
     samples
@@ -289,6 +333,11 @@ fn clip_scalar(rows: &[Vec<f64>], c: f64) -> f64 {
     } else {
         1.0
     }
+}
+
+/// CRC-32 one byte per step: [`crc32_step`] folded over `data`.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |c, &b| crc32_step(c, b))
 }
 
 fn dot_f32_scalar(x: &[f32], y: &[f32]) -> f32 {

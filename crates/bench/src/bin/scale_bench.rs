@@ -27,7 +27,8 @@
 //!   read before the run and refused when it is the `scale.tsv` this
 //!   run writes, i.e. when `SP_RESULTS_DIR` is not set elsewhere.
 //! - `SP_BENCH_GATE_TOLERANCE`: fractional gate tolerance
-//!   (default `0.15`).
+//!   (default `0.15`). Read before the run; a value that is not a
+//!   finite number ≥ 0 (`50%`, `0,5`, `NaN`) exits 1.
 //! - `SP_RESULTS_DIR`: where `scale.tsv` lands, in the shared
 //!   [`sp_bench::gate`] schema with the `bytes` rows gated.
 
@@ -104,8 +105,10 @@ fn main() {
     } else {
         Scenario::full()
     };
-    // Read the baseline before this run writes its own scale.tsv.
+    // Read the baseline and the tolerance before this run writes its
+    // own scale.tsv; either exits 1 when it is bad.
     let baseline = gate::baseline(&argv, "scale");
+    let tolerance = gate::tolerance();
 
     println!(
         "=== sp_scale_bench [{}]: {} nodes, budget {} MiB, bands of {} rows ===",
@@ -249,7 +252,7 @@ fn main() {
 
     // --- 7. Gate against the committed baseline. ---
     if let Some(baseline) = baseline {
-        if !gate::check(&baseline, &rows, gate::tolerance()) {
+        if !gate::check(&baseline, &rows, tolerance) {
             failures.push("memory baseline gate failed".to_string());
         }
     }

@@ -219,12 +219,36 @@ pub(crate) fn read_baseline(baseline: &Path, output: &Path) -> Result<String, St
 }
 
 /// The gate tolerance: `SP_BENCH_GATE_TOLERANCE` as a fraction
-/// (default `0.15`, the 15% gate).
+/// (default `0.15`, the 15% gate), read before the run. Exits the
+/// process with status 1 when the variable is set to anything but a
+/// finite number ≥ 0, so a mistyped setting cannot change the gate
+/// without a word.
 pub fn tolerance() -> f64 {
-    std::env::var("SP_BENCH_GATE_TOLERANCE")
+    let value = std::env::var_os("SP_BENCH_GATE_TOLERANCE");
+    parse_tolerance(value.as_deref().map(|v| v.to_string_lossy()).as_deref()).unwrap_or_else(|e| {
+        eprintln!("FAIL: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Parses a `SP_BENCH_GATE_TOLERANCE` value. Unset is the 15% default
+/// and a finite number ≥ 0 is used as given.
+///
+/// # Errors
+/// Any other value, named in the message: a percentage (`50%`), a
+/// decimal comma (`0,5`), the empty string, `NaN`, an infinity or a
+/// negative number. `NaN` and `inf` would pass every row, a negative
+/// tolerance would fail rows that did not regress.
+pub(crate) fn parse_tolerance(value: Option<&str>) -> Result<f64, String> {
+    let Some(v) = value else {
+        return Ok(0.15);
+    };
+    v.parse::<f64>()
         .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.15)
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| {
+            format!("SP_BENCH_GATE_TOLERANCE must be a finite fraction >= 0 (0.5 gates at +50%), got {v:?}")
+        })
 }
 
 /// Median of a sample set (midpoint average for even counts). Panics on
@@ -275,6 +299,17 @@ mod tests {
     }
 
     #[test]
+    fn tolerance_takes_a_finite_fraction_and_refuses_the_rest() {
+        assert_eq!(parse_tolerance(None), Ok(0.15));
+        assert_eq!(parse_tolerance(Some("0.5")), Ok(0.5));
+        assert_eq!(parse_tolerance(Some("0")), Ok(0.0));
+        for bad in ["50%", "0,5", "NaN", "inf", "-0.1", ""] {
+            let err = parse_tolerance(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
     fn parse_rejects_bad_headers_rows_values_and_gates() {
         assert!(parse("").is_err());
         assert!(parse("metric\tunit\tvalue\tgated\n").is_err());
@@ -321,12 +356,13 @@ mod tests {
         };
 
         let kernels = read("kernels.tsv");
-        assert_eq!(kernels.len(), 18);
+        assert_eq!(kernels.len(), 24);
         for r in &kernels {
             assert_eq!(r.gate, r.unit == "ratio", "{r:?}");
             assert!(r.gate || r.unit == "ns", "{r:?}");
         }
-        assert_eq!(kernels.iter().filter(|r| r.gate).count(), 6);
+        assert_eq!(kernels.iter().filter(|r| r.gate).count(), 8);
+        assert_eq!(kernels.iter().filter(|r| r.unit == "ns").count(), 16);
         // Each pinned ratio is its shipping median over its reference
         // median, as the same file records them.
         let ns = |kernel: &str, variant: &str, dim: &str| {

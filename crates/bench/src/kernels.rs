@@ -12,9 +12,9 @@ use crate::gate::Row;
 
 /// The ungated `kernels.tsv` row of one measurement: `kernel`
 /// (`dot_f64`, `dot_rows_f64`, `grad_clip_f64`, `dot_f32`,
-/// `dist2_sq_f32`, `noise_row`) in `variant` (`reference` or
-/// `shipping`) at vector length `dim`, with its median nanoseconds per
-/// call.
+/// `dist2_sq_f32`, `dist2_rows_f32`, `noise_row`, `crc32`) in
+/// `variant` (`reference` or `shipping`) at vector length `dim` (bytes
+/// for `crc32`), with its median nanoseconds per call.
 pub fn row(kernel: &str, variant: &str, dim: usize, median_ns: f64) -> Row {
     Row {
         metric: format!("{kernel}.{variant}.{dim}"),

@@ -1,8 +1,9 @@
 //! Flat slice kernels, SIMD-shaped.
 //!
 //! These functions sit in the innermost loops of skip-gram training
-//! (`dot` + `axpy` per positive/negative sample per step) and of the
-//! serving hot path (per-candidate `dot`, per-centroid `dist2_sq`).
+//! (`dot_rows` + `axpy` per example per step) and of the serving hot
+//! path (per-candidate `dot_f32`, and `dist2_sq_f32_rows` for the
+//! centroid distances of the IVF build and probe).
 //! The reduction kernels are written as **chunked fixed-width-lane
 //! loops**: the main loop walks exact `LANES`-wide chunks keeping one
 //! independent accumulator per lane (no loop-carried dependency on a
@@ -18,9 +19,12 @@
 //! inputs — the lane count and fold order are compile-time constants,
 //! so results are bit-identical across runs, thread counts, and call
 //! sites. Reduction kernels (`dot`, `dot_rows`, `norm2_sq`,
-//! `norm2_sq_scaled`, `dist2_sq`) define a *canonical* summation order:
-//! lane-strided partial sums folded as a fixed tree, then the scalar
-//! tail left to right. This order differs
+//! `norm2_sq_scaled`, `dist2_sq`, and in `f32` `dot_f32`,
+//! `dist2_sq_f32` and `dist2_sq_f32_rows`) define a *canonical*
+//! summation order: lane-strided partial sums folded as a fixed tree,
+//! then the scalar tail left to right. The multi-row kernels
+//! (`dot_rows`, `dist2_sq_f32_rows`) give each row exactly the order of
+//! their one-row kernel, whatever the row count. This order differs
 //! from the pre-lane single-accumulator order, so goldens pinned on the
 //! old order were re-pinned once (see `tests/parallel_determinism.rs`);
 //! per call the two orders agree to a few ulps (asserted below).
@@ -276,15 +280,96 @@ pub fn dist2_sq_f32(x: &[f32], y: &[f32]) -> f32 {
     let split = n - (n % LANES_F32);
     let (xm, xt) = x[..n].split_at(split);
     let (ym, yt) = y[..n].split_at(split);
-    let mut lanes = [0.0f32; LANES_F32];
-    for (xs, ys) in xm.chunks_exact(LANES_F32).zip(ym.chunks_exact(LANES_F32)) {
-        let xs: &[f32; LANES_F32] = xs.try_into().expect("exact chunk");
-        let ys: &[f32; LANES_F32] = ys.try_into().expect("exact chunk");
-        for (l, acc) in lanes.iter_mut().enumerate() {
-            let d = xs[l] - ys[l];
-            *acc += d * d;
+    let [lanes] = dist2_lanes_f32(xm, [ym]);
+    fold_dist2_f32(lanes, xt, yt)
+}
+
+/// Squared distances of `x` to `out.len()` rows: `out[j] =
+/// dist2_sq_f32(x, row(j))`, bit for bit.
+///
+/// The rows go four to a pass over `x`, and a short last group goes
+/// row by row through [`dist2_sq_f32`]. A lone distance at `r = 128`
+/// waits on its lanes' add chains; four rows' chains interleave, so
+/// 64 distances take less than half the time of 64 one-row calls. Four
+/// measured faster than two, three, five, six and eight. Each row
+/// keeps [`dist2_sq_f32`]'s eight lanes, fold and tail, so the grouping
+/// changes no bit.
+///
+/// # Panics
+/// Panics in debug builds if a row's length differs from `x`'s.
+#[inline]
+pub fn dist2_sq_f32_rows<'a>(x: &[f32], row: impl Fn(usize) -> &'a [f32], out: &mut [f32]) {
+    for (g, o) in out.chunks_mut(4).enumerate() {
+        let j = 4 * g;
+        match o {
+            [a, b, c, d] => {
+                [*a, *b, *c, *d] = dist2_group_f32(x, [row(j), row(j + 1), row(j + 2), row(j + 3)])
+            }
+            short => {
+                for (i, o) in short.iter_mut().enumerate() {
+                    *o = dist2_sq_f32(x, row(j + i));
+                }
+            }
         }
     }
+}
+
+/// [`dist2_sq_f32`] of `x` to each of `R` rows, in one pass over `x`.
+#[inline]
+fn dist2_group_f32<const R: usize>(x: &[f32], rows: [&[f32]; R]) -> [f32; R] {
+    let mut n = x.len();
+    for y in rows {
+        debug_assert_eq!(x.len(), y.len(), "dist2_sq_f32: length mismatch");
+        n = n.min(y.len());
+    }
+    let split = n - (n % LANES_F32);
+    let (xm, xt) = x[..n].split_at(split);
+    let rows = rows.map(|y| y[..n].split_at(split));
+    let lanes = dist2_lanes_f32_apart(xm, rows.map(|(ym, _)| ym));
+    let mut out = [0.0; R];
+    for ((o, lanes), (_, yt)) in out.iter_mut().zip(lanes).zip(rows) {
+        *o = fold_dist2_f32(lanes, xt, yt);
+    }
+    out
+}
+
+/// [`dist2_lanes_f32`] behind a call boundary, for the same reason as
+/// [`lane_sums_apart`]: inlined, the SLP vectoriser packs lanes of
+/// different rows together, and four rows then cost as much as four
+/// [`dist2_sq_f32`] calls, or more.
+#[inline(never)]
+fn dist2_lanes_f32_apart<const R: usize>(xm: &[f32], rows: [&[f32]; R]) -> [[f32; LANES_F32]; R] {
+    dist2_lanes_f32(xm, rows)
+}
+
+/// Each row's eight lane-strided partial sums of `(x[i] - row[i])²`
+/// over `xm`, a whole number of lane chunks: the main loop of
+/// [`dist2_sq_f32`].
+#[inline(always)]
+fn dist2_lanes_f32<const R: usize>(xm: &[f32], rows: [&[f32]; R]) -> [[f32; LANES_F32]; R] {
+    let mut chunks = rows.map(|ym| ym[..xm.len()].chunks_exact(LANES_F32));
+    let mut lanes = [[0.0f32; LANES_F32]; R];
+    for xs in xm.chunks_exact(LANES_F32) {
+        let xs: &[f32; LANES_F32] = xs.try_into().expect("exact chunk");
+        for (acc, ym) in lanes.iter_mut().zip(&mut chunks) {
+            let ys: &[f32; LANES_F32] = ym
+                .next()
+                .and_then(|ys| ys.try_into().ok())
+                .expect("rows as long as x");
+            for l in 0..LANES_F32 {
+                let d = xs[l] - ys[l];
+                acc[l] += d * d;
+            }
+        }
+    }
+    lanes
+}
+
+/// [`dist2_sq_f32`]'s canonical finish: the lanes folded as
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the scalar tail in
+/// index order.
+#[inline(always)]
+fn fold_dist2_f32(lanes: [f32; LANES_F32], xt: &[f32], yt: &[f32]) -> f32 {
     let mut s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
     for (a, b) in xt.iter().zip(yt) {
@@ -421,6 +506,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dist2_sq_f32_rows_is_bit_identical_to_dist2_sq_f32_for_every_length_and_row_count() {
+        let f32s = |n: usize, salt: u64| -> Vec<f32> {
+            test_vec(n, salt).iter().map(|&v| v as f32).collect()
+        };
+        for n in 0..40 {
+            let x = f32s(n, 40);
+            let rows: Vec<Vec<f32>> = (0..9).map(|j| f32s(n, 41 + j)).collect();
+            for count in 0..=rows.len() {
+                let mut out = vec![f32::NAN; count];
+                dist2_sq_f32_rows(&x, |j| &rows[j], &mut out);
+                for (j, got) in out.iter().enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        dist2_sq_f32(&x, &rows[j]).to_bits(),
+                        "n={n} rows={count} row {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dist2_sq_f32_bits_are_pinned() {
+        // FNV-1a over the bits of `dist2_sq_f32` at every length
+        // 0..=136, every tail past r = 128 included: the lanes, fold
+        // and tail order are pinned, so a rewrite of the loop cannot
+        // move a distance by an ulp.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for n in 0..=136 {
+            let x: Vec<f32> = test_vec(n, 50).iter().map(|&v| v as f32).collect();
+            let y: Vec<f32> = test_vec(n, 51).iter().map(|&v| v as f32).collect();
+            for b in dist2_sq_f32(&x, &y).to_bits().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x8553_6c82_499f_c9d5);
     }
 
     #[test]

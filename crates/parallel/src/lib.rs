@@ -51,8 +51,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes per pass of [`crc32`]'s main loop, and its table count.
+const CRC32_SLICES: usize = 16;
+
+/// The slicing-by-16 tables of the reflected IEEE polynomial.
+/// `T[0][b]` is the CRC of the byte `b`, the classic byte-at-a-time
+/// table; `T[k][b] = (T[k-1][b] >> 8) ^ T[0][T[k-1][b] & 0xFF]` is the
+/// CRC of `b` followed by `k` zero bytes, so one lookup per table
+/// folds a whole 16-byte chunk into the state.
+const fn crc32_tables() -> [[u32; 256]; CRC32_SLICES] {
+    let mut t = [[0u32; 256]; CRC32_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -65,28 +73,56 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC32_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// 16 KiB, built at compile time.
+static CRC32_TABLES: [[u32; 256]; CRC32_SLICES] = crc32_tables();
 
 /// One CRC-32 step over the *raw* (pre-inversion) state, for callers
 /// that checksum incrementally: seed with `!0`, feed bytes, finish
 /// with `!state`.
 #[inline]
 pub fn crc32_step(state: u32, byte: u8) -> u32 {
-    CRC32_TABLE[((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8)
+    CRC32_TABLES[0][((state ^ byte as u32) & 0xFF) as usize] ^ (state >> 8)
 }
 
 /// CRC-32 (IEEE 802.3, reflected) of `data`: the checksum in every
 /// gzip trailer the dataset decoder validates and in every `.spm` and
 /// `.spc` file the model crate writes.
+///
+/// Slicing-by-16: each pass folds 16 bytes into the state with one
+/// lookup per table, and the tail of fewer than 16 bytes goes through
+/// [`crc32_step`]. The value equals the [`crc32_step`] fold for every
+/// input; only the number of dependent steps per byte falls.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
-    for &b in data {
+    let mut chunks = data.chunks_exact(CRC32_SLICES);
+    for chunk in &mut chunks {
+        let chunk: &[u8; CRC32_SLICES] = chunk.try_into().expect("exact chunk");
+        let mut bytes = *chunk;
+        for (b, s) in bytes.iter_mut().zip(c.to_le_bytes()) {
+            *b ^= s;
+        }
+        c = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            c ^= CRC32_TABLES[CRC32_SLICES - 1 - i][b as usize];
+        }
+    }
+    for &b in chunks.remainder() {
         c = crc32_step(c, b);
     }
     !c
@@ -212,6 +248,30 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time CRC-32: [`crc32_step`] folded over `data`.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |c, &b| crc32_step(c, b))
+    }
+
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| splitmix64(seed ^ i) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_fold_at_every_length_and_offset() {
+        let buf = seeded_bytes(300 + CRC32_SLICES, 0xC5C3);
+        for start in 0..CRC32_SLICES {
+            for len in 0..=300 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(1 << 20, 0xB16);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]

@@ -8,14 +8,26 @@
 //! the oracle itself — recall 1.0 by construction — which is the
 //! property the smoke tests lean on for tiny models.
 //!
+//! Both the k-means assignment and the query's probe ordering take
+//! their centroid distances from
+//! [`sp_linalg::vector::dist2_sq_f32_rows`], four centroids to a pass
+//! over the vector. Each distance is bit-identical to a lone
+//! [`sp_linalg::vector::dist2_sq_f32`], so build and query see one
+//! canonical order, and the grouping moves no centroid, list or
+//! answer.
+//!
 //! Construction is deterministic for any thread count: the per-node
 //! centroid assignment runs through [`sp_parallel::par_map`] (order
 //! preserving), and the centroid update folds the assignments serially
 //! in node order with f64 accumulators. Ties in nearest-centroid
-//! selection break toward the lower centroid id via a total order.
+//! selection break toward the lower centroid id: ids are visited in
+//! ascending order under a total order, and only a strictly smaller
+//! distance replaces the best.
 
 use crate::store::{EmbeddingStore, Neighbor, TopK};
+use sp_linalg::vector::dist2_sq_f32_rows;
 use sp_parallel::{par_map, resolve_threads, splitmix64};
+use std::cmp::Ordering;
 
 /// Index construction and default-query parameters.
 #[derive(Clone, Copy, Debug)]
@@ -51,15 +63,6 @@ pub struct IvfIndex {
     centroids: Vec<f32>,
     /// Node ids per list, ascending within each list.
     lists: Vec<Vec<u32>>,
-}
-
-/// Squared L2 distance with a fixed canonical accumulation order —
-/// the lane-structured [`sp_linalg::vector::dist2_sq_f32`] kernel
-/// (k-means assignment and probe ordering both route through here, so
-/// build and query see the identical order).
-#[inline]
-fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    sp_linalg::vector::dist2_sq_f32(a, b)
 }
 
 /// The seeded distinct-node pick sequence used to initialise the
@@ -100,15 +103,26 @@ fn seed_centroid_nodes(seed: u64, n: usize, nlist: usize) -> Vec<u32> {
     picked
 }
 
-/// Nearest centroid of `v` under L2, ties toward the lower id.
+/// Centroids per [`dist2_sq_f32_rows`] call in [`nearest_centroid`]:
+/// a stack buffer, so the assignment allocates nothing per node.
+const CENTROID_BLOCK: usize = 64;
+
+/// Nearest centroid of `v` under L2, ties toward the lower id: ids are
+/// visited in ascending order and the best is replaced only on a
+/// strictly smaller distance.
 fn nearest_centroid(v: &[f32], centroids: &[f32], dim: usize) -> u32 {
+    let dim = dim.max(1);
     let mut best = 0u32;
     let mut best_d = f32::INFINITY;
-    for (c, row) in centroids.chunks_exact(dim.max(1)).enumerate() {
-        let d = l2_sq(v, row);
-        if d.total_cmp(&best_d) == std::cmp::Ordering::Less {
-            best = c as u32;
-            best_d = d;
+    let mut dist = [0.0f32; CENTROID_BLOCK];
+    for (b, block) in centroids.chunks(CENTROID_BLOCK * dim).enumerate() {
+        let dist = &mut dist[..block.len() / dim];
+        dist2_sq_f32_rows(v, |j| &block[j * dim..][..dim], dist);
+        for (j, d) in dist.iter().enumerate() {
+            if d.total_cmp(&best_d) == Ordering::Less {
+                best = (b * CENTROID_BLOCK + j) as u32;
+                best_d = *d;
+            }
         }
     }
     best
@@ -194,15 +208,17 @@ impl IvfIndex {
     /// The `nprobe` list ids nearest the query (L2 to centroid,
     /// ascending; ties toward the lower list id).
     fn probe_order(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        let mut order: Vec<(u32, f32)> = self
-            .centroids
-            .chunks_exact(self.dim.max(1))
-            .enumerate()
-            .map(|(c, row)| (c as u32, l2_sq(query, row)))
-            .collect();
-        order.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        let dim = self.dim.max(1);
+        let mut dist = vec![0.0f32; self.centroids.len() / dim];
+        dist2_sq_f32_rows(query, |c| &self.centroids[c * dim..][..dim], &mut dist);
+        let mut order: Vec<u32> = (0..dist.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            dist[a as usize]
+                .total_cmp(&dist[b as usize])
+                .then_with(|| a.cmp(&b))
+        });
         order.truncate(nprobe.clamp(1, self.nlist()));
-        order.into_iter().map(|(c, _)| c).collect()
+        order
     }
 
     /// Approximate top-k by inner product: probe the nearest `nprobe`
