@@ -31,11 +31,11 @@
 //!   (default `0.15` = 15%). Read before the run; a value that is not
 //!   a finite number ≥ 0 (`50%`, `0,5`, `NaN`) exits 1.
 //!
-//! Methodology: each sample times a calibrated batch of kernel calls
-//! (sized so one batch spans roughly [`TARGET_SAMPLE_NS`], keeping
-//! the timer overhead negligible even for single-digit-ns kernels,
-//! while a 64 KiB checksum takes a handful of calls) and divides by
-//! the batch size. Samples are taken **round-robin
+//! Methodology: each sample times a batch of kernel calls and divides
+//! by the batch size. The size is calibrated by doubling until one
+//! batch spans [`TARGET_SAMPLE_NS`]: thousands of calls of a vector
+//! kernel, which keeps the timer overhead negligible, and one or a
+//! few of a 64 KiB checksum. Samples are taken **round-robin
 //! across all kernels**, each reference right before its shipping
 //! kernel — a noisy scheduling window on a shared runner then inflates
 //! one sample of many kernels instead of every sample of one kernel —
@@ -59,11 +59,15 @@ const DIM: usize = 128;
 const CRC_BYTES: usize = 64 << 10;
 /// Negatives per example, as the trainer's default.
 const NEGATIVES: usize = 5;
-/// Odd sample count -> median is a real observation.
-const SAMPLES: usize = 31;
+/// Rounds, an odd count so the median is a real observation. A round
+/// takes ~4 ms. The box sometimes slows the table-driven kernels
+/// (`crc32`, `noise_row`) alone for 40–60 ms while their references
+/// hold; at 101 rounds such a burst must last ~0.2 s to move a median.
+const SAMPLES: usize = 101;
 /// Target wall-clock span of one timed batch; the per-kernel batch
 /// size is calibrated to hit it.
 const TARGET_SAMPLE_NS: f64 = 250_000.0;
+
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     // Read the baseline and the tolerance before this run writes its
@@ -116,7 +120,7 @@ fn run_all() -> Vec<Row> {
     let (xa, ya, za, wa) = (row(), row(), row(), row());
     let mut row_f32 = || -> Vec<f32> { row().iter().map(|&v| v as f32).collect() };
     let (xf, yf) = (row_f32(), row_f32());
-    let centroids = [row_f32(), row_f32(), row_f32(), row_f32()];
+    let (c0, c1, c2, c3) = (row_f32(), row_f32(), row_f32(), row_f32());
     let bytes: Vec<u8> = (0..CRC_BYTES as u64)
         .map(|i| sp_parallel::splitmix64(i) as u8)
         .collect();
@@ -146,7 +150,7 @@ fn run_all() -> Vec<Row> {
     let (mut noise_key, mut floor_key) = (0u64, 0u64);
 
     let (x, ctx) = (&xa[..], [&ya[..], &za[..], &wa[..]]);
-    let (q, cs): (&[f32], [&[f32]; 4]) = (&xf, std::array::from_fn(|j| &centroids[j][..]));
+    let (q, cs) = (&xf[..], [&c0[..], &c1[..], &c2[..], &c3[..]]);
     let mut kernels = vec![
         // The trainer's score/gradient inner product.
         Kernel {

@@ -112,8 +112,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut c = !0u32;
     let mut chunks = data.chunks_exact(CRC32_SLICES);
     for chunk in &mut chunks {
-        let chunk: &[u8; CRC32_SLICES] = chunk.try_into().expect("exact chunk");
-        let mut bytes = *chunk;
+        let mut bytes: [u8; CRC32_SLICES] = chunk.try_into().expect("exact chunk");
         for (b, s) in bytes.iter_mut().zip(c.to_le_bytes()) {
             *b ^= s;
         }

@@ -20,9 +20,7 @@
 //! centroid assignment runs through [`sp_parallel::par_map`] (order
 //! preserving), and the centroid update folds the assignments serially
 //! in node order with f64 accumulators. Ties in nearest-centroid
-//! selection break toward the lower centroid id: ids are visited in
-//! ascending order under a total order, and only a strictly smaller
-//! distance replaces the best.
+//! selection break toward the lower centroid id via a total order.
 
 use crate::store::{EmbeddingStore, Neighbor, TopK};
 use sp_linalg::vector::dist2_sq_f32_rows;
