@@ -69,7 +69,7 @@ struct Args {
     seed: u64,
     non_private: bool,
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: u64,
+    checkpoint_every: Option<u64>,
     resume: bool,
 }
 
@@ -132,7 +132,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed: 1,
         non_private: false,
         checkpoint_dir: None,
-        checkpoint_every: 1000,
+        checkpoint_every: None,
         resume: false,
     };
     let mut i = 0;
@@ -192,9 +192,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--non-private" => args.non_private = true,
             "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(value(&mut i)?)),
             "--checkpoint-every" => {
-                args.checkpoint_every = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
+                args.checkpoint_every = Some(
+                    value(&mut i)?
+                        .parse()
+                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
+                )
             }
             "--resume" => args.resume = true,
             "--help" | "-h" => return Err(usage().to_string()),
@@ -202,13 +204,20 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         i += 1;
     }
-    if args.checkpoint_dir.is_none() && args.resume {
-        return Err(format!(
-            "--resume requires --checkpoint-dir (where checkpoints live)\n{}",
-            usage()
-        ));
+    if args.checkpoint_dir.is_none() {
+        for (flag, set) in [
+            ("--checkpoint-every", args.checkpoint_every.is_some()),
+            ("--resume", args.resume),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} requires --checkpoint-dir (where checkpoints live)\n{}",
+                    usage()
+                ));
+            }
+        }
     }
-    if args.checkpoint_every == 0 {
+    if args.checkpoint_every == Some(0) {
         return Err("--checkpoint-every must be at least 1".to_string());
     }
     if args.input.is_empty() == args.dataset.is_none() {
@@ -308,7 +317,6 @@ fn provision(args: &Args) -> Result<(Graph, Vec<u64>, String), String> {
     let opts = ReadOptions {
         enforce_declared_counts: true,
         skip_column_header: true,
-        ..ReadOptions::default()
     };
     let from_file = |path: &std::path::Path| -> Result<(Graph, Vec<u64>, String), String> {
         let doc = sp_datasets::loaders::load_edge_list_path(path, opts)
@@ -380,7 +388,7 @@ fn configure(args: &Args) -> Result<SePrivGEmb, String> {
     }
     if let Some(dir) = &args.checkpoint_dir {
         builder = builder
-            .checkpoint_every(args.checkpoint_every)
+            .checkpoint_every(args.checkpoint_every.unwrap_or(1000))
             .checkpoint_dir(dir.clone());
     }
     builder
@@ -589,6 +597,25 @@ mod tests {
             paper.train_config().fingerprint(10, 20)
         );
         assert_eq!(cfg.checkpoint_dir, None);
+    }
+
+    #[test]
+    fn checkpoint_flags_without_a_directory_are_usage_errors() {
+        for (flags, flag) in [
+            ("--checkpoint-every 5", "--checkpoint-every"),
+            ("--resume", "--resume"),
+        ] {
+            let err = configured(flags).map(|_| ()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} requires --checkpoint-dir")),
+                "{flags}: {err}"
+            );
+            assert!(err.contains(usage()), "{flags}: {err}");
+        }
+        let model = configured("--checkpoint-dir ckpts --checkpoint-every 5").unwrap();
+        assert_eq!(model.train_config().checkpoint_every, Some(5));
+        let model = configured("--checkpoint-dir ckpts").unwrap();
+        assert_eq!(model.train_config().checkpoint_every, Some(1000));
     }
 
     #[test]

@@ -41,16 +41,6 @@ pub enum LoadError {
         /// The offending content.
         content: String,
     },
-    /// A self-loop, under strict options.
-    SelfLoop {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A repeated edge (either orientation), under strict options.
-    DuplicateEdge {
-        /// 1-based line number.
-        line: usize,
-    },
     /// A declared node/edge count that contradicts the data.
     SizeMismatch {
         /// `"nodes"` or `"edges"`.
@@ -85,8 +75,6 @@ impl fmt::Display for LoadError {
             LoadError::Parse { line, content } => {
                 write!(f, "parse error at line {line}: {content:?}")
             }
-            LoadError::SelfLoop { line } => write!(f, "self-loop at line {line}"),
-            LoadError::DuplicateEdge { line } => write!(f, "duplicate edge at line {line}"),
             LoadError::SizeMismatch {
                 what,
                 declared,
@@ -128,8 +116,6 @@ impl From<IoError> for LoadError {
             IoError::Io(e) => e.into(),
             IoError::NonUtf8 { valid_up_to } => LoadError::NonUtf8 { valid_up_to },
             IoError::Parse { line, content } => LoadError::Parse { line, content },
-            IoError::SelfLoop { line } => LoadError::SelfLoop { line },
-            IoError::DuplicateEdge { line } => LoadError::DuplicateEdge { line },
             IoError::SizeMismatch {
                 what,
                 declared,

@@ -219,7 +219,6 @@ impl PaperDataset {
         let opts = ReadOptions {
             enforce_declared_counts: true,
             skip_column_header: true,
-            ..ReadOptions::default()
         };
         Ok(loaders::load_edge_list_path(path, opts)?.graph)
     }

@@ -217,17 +217,17 @@ impl NoiseKeys {
     }
 }
 
-/// Convenience: a vector of `n` i.i.d. `N(0, std²)` samples.
-pub fn gaussian_vec<G: Rng + ?Sized>(n: usize, std: f64, rng: &mut G) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    GaussianSampler.fill_slice(&mut out, std, rng);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+
+    /// `n` i.i.d. `N(0, std²)` samples.
+    fn gaussian_vec<G: Rng + ?Sized>(n: usize, std: f64, rng: &mut G) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        GaussianSampler.fill_slice(&mut out, std, rng);
+        out
+    }
 
     fn samples(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -42,17 +42,6 @@ pub enum IoError {
         /// The offending content.
         content: String,
     },
-    /// A self-loop on a line, with [`ReadOptions::forbid_self_loops`].
-    SelfLoop {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A repeated edge (either orientation), with
-    /// [`ReadOptions::forbid_duplicates`].
-    DuplicateEdge {
-        /// 1-based line number.
-        line: usize,
-    },
     /// A header-declared node or edge count that contradicts the data,
     /// with [`ReadOptions::enforce_declared_counts`].
     SizeMismatch {
@@ -80,8 +69,6 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line, content } => {
                 write!(f, "parse error at line {line}: {content:?}")
             }
-            IoError::SelfLoop { line } => write!(f, "self-loop at line {line}"),
-            IoError::DuplicateEdge { line } => write!(f, "duplicate edge at line {line}"),
             IoError::SizeMismatch {
                 what,
                 declared,
@@ -105,15 +92,12 @@ impl From<io::Error> for IoError {
     }
 }
 
-/// Knobs for [`read_edge_list_doc`]. The default is the lenient,
-/// real-data posture: self-loops and duplicates are dropped (and
-/// counted), declared counts are recorded but not enforced.
+/// Knobs for [`read_edge_list_doc`]. Self-loops and duplicates are
+/// always dropped and counted ([`EdgeListDoc::self_loops`],
+/// [`EdgeListDoc::duplicate_edges`]); by default declared counts are
+/// recorded but not enforced.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadOptions {
-    /// Fail with [`IoError::SelfLoop`] instead of dropping self-loops.
-    pub forbid_self_loops: bool,
-    /// Fail with [`IoError::DuplicateEdge`] instead of deduplicating.
-    pub forbid_duplicates: bool,
     /// Fail with [`IoError::SizeMismatch`] when a header-declared
     /// count contradicts the parsed data; see
     /// [`EdgeListDoc::check_declared_counts`] for the exact rules.
@@ -122,19 +106,6 @@ pub struct ReadOptions {
     /// `id1,id2` column banner of SNAP musae CSV exports. Off by
     /// default so a malformed first line stays a parse error.
     pub skip_column_header: bool,
-}
-
-impl ReadOptions {
-    /// Strict simple-graph posture: any self-loop, duplicate edge, or
-    /// declared-count mismatch is an error.
-    pub fn strict() -> Self {
-        Self {
-            forbid_self_loops: true,
-            forbid_duplicates: true,
-            enforce_declared_counts: true,
-            skip_column_header: false,
-        }
-    }
 }
 
 /// A parsed edge list plus everything the file said about itself.
@@ -309,9 +280,6 @@ pub fn read_edge_list_doc<R: BufRead>(
             }
         };
         if pa == pb {
-            if opts.forbid_self_loops {
-                return Err(IoError::SelfLoop { line: lineno });
-            }
             self_loops += 1;
             // Still intern the id: an isolated self-looping node is a
             // node of the graph.
@@ -327,9 +295,6 @@ pub fn read_edge_list_doc<R: BufRead>(
         let v = intern(pb, &mut id_map);
         let key = if u < v { (u, v) } else { (v, u) };
         if !seen.insert(key) {
-            if opts.forbid_duplicates {
-                return Err(IoError::DuplicateEdge { line: lineno });
-            }
             duplicate_edges += 1;
             continue;
         }
@@ -353,14 +318,6 @@ pub fn read_edge_list_doc<R: BufRead>(
     Ok(doc)
 }
 
-/// Parses an edge list from any reader; returns the graph and the map
-/// from original ids to dense ids. Lenient: equivalent to
-/// [`read_edge_list_doc`] with [`ReadOptions::default`].
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Graph, HashMap<u64, NodeId>), IoError> {
-    let doc = read_edge_list_doc(reader, ReadOptions::default())?;
-    Ok((doc.graph, doc.id_map))
-}
-
 /// Writes the canonical edge list (`u v` per line, `u < v`).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -381,6 +338,17 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> io::Result<()
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    const ENFORCE: ReadOptions = ReadOptions {
+        enforce_declared_counts: true,
+        skip_column_header: false,
+    };
+
+    /// The graph and id map under the default options.
+    fn read_edge_list(reader: impl BufRead) -> Result<(Graph, HashMap<u64, NodeId>), IoError> {
+        let doc = read_edge_list_doc(reader, ReadOptions::default())?;
+        Ok((doc.graph, doc.id_map))
+    }
 
     #[test]
     fn parses_comments_and_compacts_ids() {
@@ -497,7 +465,7 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let doc = read_edge_list_doc(Cursor::new(buf), ReadOptions::strict()).unwrap();
+        let doc = read_edge_list_doc(Cursor::new(buf), ENFORCE).unwrap();
         assert_eq!(doc.declared_nodes, Some(3));
         assert_eq!(doc.declared_edges, Some(2));
         assert_eq!(doc.graph.num_edges(), 2);
@@ -506,7 +474,7 @@ mod tests {
     #[test]
     fn konect_meta_line_parsed() {
         let text = "% sym unweighted\n% 2 3 3\n1 2\n2 3\n";
-        let doc = read_edge_list_doc(Cursor::new(text), ReadOptions::strict()).unwrap();
+        let doc = read_edge_list_doc(Cursor::new(text), ENFORCE).unwrap();
         assert_eq!(doc.declared_edges, Some(2));
         assert_eq!(doc.declared_nodes, Some(3));
     }
@@ -522,7 +490,7 @@ mod tests {
     #[test]
     fn declared_count_mismatch_enforced() {
         let text = "# nodes 3 edges 5\n1 2\n2 3\n";
-        let err = read_edge_list_doc(Cursor::new(text), ReadOptions::strict()).unwrap_err();
+        let err = read_edge_list_doc(Cursor::new(text), ENFORCE).unwrap_err();
         match err {
             IoError::SizeMismatch {
                 what,
@@ -545,7 +513,7 @@ mod tests {
         let g = Graph::from_edges(5, [(0, 1), (1, 2)]); // nodes 3,4 isolated
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let doc = read_edge_list_doc(Cursor::new(buf), ReadOptions::strict()).unwrap();
+        let doc = read_edge_list_doc(Cursor::new(buf), ENFORCE).unwrap();
         assert_eq!(doc.declared_nodes, Some(5));
         assert_eq!(doc.graph.num_nodes(), 3);
     }
@@ -553,7 +521,7 @@ mod tests {
     #[test]
     fn understated_node_count_rejected() {
         let text = "# nodes 2 edges 2\n1 2\n2 3\n";
-        match read_edge_list_doc(Cursor::new(text), ReadOptions::strict()) {
+        match read_edge_list_doc(Cursor::new(text), ENFORCE) {
             Err(IoError::SizeMismatch {
                 what: "nodes",
                 declared: 2,
@@ -571,26 +539,6 @@ mod tests {
         assert_eq!(doc.declared_edges, Some(5));
     }
 
-    // --- strict-mode rejection -----------------------------------------
-
-    #[test]
-    fn strict_rejects_self_loop_with_line() {
-        let text = "1 2\n3 3\n";
-        assert!(matches!(
-            read_edge_list_doc(Cursor::new(text), ReadOptions::strict()),
-            Err(IoError::SelfLoop { line: 2 })
-        ));
-    }
-
-    #[test]
-    fn strict_rejects_duplicate_either_orientation() {
-        let text = "1 2\n2 1\n";
-        assert!(matches!(
-            read_edge_list_doc(Cursor::new(text), ReadOptions::strict()),
-            Err(IoError::DuplicateEdge { line: 2 })
-        ));
-    }
-
     #[test]
     fn lenient_counts_cleaning_stats() {
         let text = "% 5 3 3\n1 1\n1 2\n2 1\n1 2\n2 3\n";
@@ -599,9 +547,10 @@ mod tests {
         assert_eq!(doc.self_loops, 1);
         assert_eq!(doc.duplicate_edges, 2);
         assert_eq!(doc.graph.num_edges(), 2);
-        // Declared counts match the raw records, so strict mode also
-        // accepts this file apart from the loop/dup rejections.
+        // Declared counts match the raw records, dropped ones included,
+        // so enforcing them accepts this file too.
         assert_eq!(doc.declared_edges, Some(5));
+        assert!(read_edge_list_doc(Cursor::new(text), ENFORCE).is_ok());
     }
 
     #[test]

@@ -79,7 +79,12 @@ proptest! {
         let g = Graph::from_edges(12, edges);
         let mut buf = Vec::new();
         sp_graph::io::write_edge_list(&g, &mut buf).unwrap();
-        let (g2, map) = sp_graph::io::read_edge_list(std::io::Cursor::new(buf)).unwrap();
+        let doc = sp_graph::io::read_edge_list_doc(
+            std::io::Cursor::new(buf),
+            sp_graph::io::ReadOptions::default(),
+        )
+        .unwrap();
+        let (g2, map) = (doc.graph, doc.id_map);
         prop_assert_eq!(g2.num_edges(), g.num_edges());
         for &(u, v) in g.edges() {
             prop_assert!(g2.has_edge(map[&(u as u64)], map[&(v as u64)]));

@@ -456,11 +456,6 @@ impl CsrMatrix {
         self.row_values(i).iter().sum()
     }
 
-    /// Vector of all row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row_sum(i)).collect()
-    }
-
     /// Sum of every stored value.
     pub fn total_sum(&self) -> f64 {
         self.data.iter().sum()
@@ -612,7 +607,8 @@ mod tests {
     #[test]
     fn row_sums_total_and_min_positive() {
         let m = sample();
-        assert_eq!(m.row_sums(), vec![3.0, 0.0, 7.0]);
+        let sums: Vec<f64> = (0..3).map(|i| m.row_sum(i)).collect();
+        assert_eq!(sums, vec![3.0, 0.0, 7.0]);
         assert_eq!(m.total_sum(), 10.0);
         assert_eq!(m.min_positive(), Some(1.0));
         assert_eq!(CsrMatrix::zeros(2, 2).min_positive(), None);

@@ -105,25 +105,6 @@ impl RunningStats {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merges another accumulator (Chan et al. parallel combination),
-    /// used when experiment repetitions run on worker threads.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-    }
 }
 
 /// `log(C(n, k))` computed stably as a sum of logs.
@@ -214,25 +195,6 @@ mod tests {
         assert_eq!(rs.count(), xs.len() as u64);
         assert!((rs.mean() - mean(&xs)).abs() < 1e-12);
         assert!((rs.std_dev() - std_dev(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_concat() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0];
-        let mut ra = RunningStats::new();
-        a.iter().for_each(|&x| ra.push(x));
-        let mut rb = RunningStats::new();
-        b.iter().for_each(|&x| rb.push(x));
-        ra.merge(&rb);
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        assert!((ra.mean() - mean(&all)).abs() < 1e-12);
-        assert!((ra.std_dev() - std_dev(&all)).abs() < 1e-12);
-
-        // Merging into empty adopts the other side verbatim.
-        let mut empty = RunningStats::new();
-        empty.merge(&ra);
-        assert!((empty.mean() - ra.mean()).abs() < 1e-15);
     }
 
     #[test]

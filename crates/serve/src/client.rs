@@ -9,7 +9,6 @@
 
 use crate::protocol::PROTOCOL_VERSION;
 use crate::store::Neighbor;
-use sp_fault::retry::{transient_io, RetryPolicy};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -109,23 +108,6 @@ impl ServeClient {
                 "address resolved to no socket addresses",
             )
         })))
-    }
-
-    /// [`ServeClient::connect_timeout`] with bounded retry under
-    /// `policy`: transient connect/greeting failures (refused while the
-    /// server restarts, reset, a connection dropped before the
-    /// greeting) are absorbed with the policy's deterministic jittered
-    /// backoff; permanent errors and protocol errors surface
-    /// immediately.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-        policy: &RetryPolicy,
-    ) -> Result<Self, ClientError> {
-        policy.run(
-            |e: &ClientError| matches!(e, ClientError::Io(io) if transient_io(io.kind())),
-            || Self::connect_timeout(&addr, timeout),
-        )
     }
 
     fn from_stream(stream: TcpStream) -> Result<Self, ClientError> {

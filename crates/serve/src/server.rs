@@ -112,8 +112,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener. The store is shared — a republisher (e.g.
-    /// `sp_dynamic::DynamicEmbedder::fit_and_serve`) can keep swapping
+    /// Binds the listener. The store is shared — `RELOAD`, or any
+    /// caller of [`ServingStore::reload_from`], can keep swapping
     /// generations into `serving` while the server answers from it.
     pub fn bind(
         addr: impl ToSocketAddrs,

@@ -208,11 +208,6 @@ impl EmbeddingStore {
         &self.vectors
     }
 
-    /// Whether the store carries the context (`W_out`) matrix.
-    pub fn has_context(&self) -> bool {
-        self.context.is_some()
-    }
-
     /// Validates a query vector's length against the store dimension.
     #[inline]
     pub fn check_dim(&self, query: &[f32]) -> Result<(), QueryError> {
@@ -273,20 +268,9 @@ impl EmbeddingStore {
         Ok(sigmoid(dot(self.embedding(u), ctx_row)))
     }
 
-    /// **The exact oracle**: brute-force top-k by inner product over
-    /// every node. Every approximate answer in the test suites is
-    /// checked against this.
-    ///
-    /// # Panics
-    /// Panics if `query.len() != self.dim()`; servers use
-    /// [`EmbeddingStore::try_exact_top_k`].
-    pub fn exact_top_k(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.try_exact_top_k(query, k)
-            .expect("query dimension mismatch")
-    }
-
-    /// [`EmbeddingStore::exact_top_k`] with typed validation instead of
-    /// a panic.
+    /// Brute-force top-k by inner product of `query` over every node;
+    /// a query of the wrong length is a typed error, not a truncated
+    /// scan.
     pub fn try_exact_top_k(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, QueryError> {
         self.check_dim(query)?;
         let mut top = TopK::new(k);
@@ -359,7 +343,7 @@ mod tests {
     #[test]
     fn exact_top_k_orders_by_score_then_id() {
         let s = tiny_store();
-        let got = s.exact_top_k(&[1.0, 0.0], 4);
+        let got = s.try_exact_top_k(&[1.0, 0.0], 4).unwrap();
         // Scores: n0=1, n1=0, n2=1, n3=-1 -> 0 before 2 on the tie.
         let ids: Vec<u32> = got.iter().map(|n| n.node).collect();
         assert_eq!(ids, vec![0, 2, 1, 3]);
@@ -370,10 +354,10 @@ mod tests {
     #[test]
     fn top_k_truncates_and_k_zero_is_empty() {
         let s = tiny_store();
-        assert_eq!(s.exact_top_k(&[1.0, 0.0], 2).len(), 2);
-        assert!(s.exact_top_k(&[1.0, 0.0], 0).is_empty());
+        assert_eq!(s.try_exact_top_k(&[1.0, 0.0], 2).unwrap().len(), 2);
+        assert!(s.try_exact_top_k(&[1.0, 0.0], 0).unwrap().is_empty());
         // k beyond n returns everything, still ordered.
-        assert_eq!(s.exact_top_k(&[1.0, 0.0], 99).len(), 4);
+        assert_eq!(s.try_exact_top_k(&[1.0, 0.0], 99).unwrap().len(), 4);
     }
 
     #[test]
@@ -392,7 +376,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let model = SkipGramModel::new(5, 4, &mut rng);
         let s = EmbeddingStore::from_skipgram(&model, Provenance::non_private(3));
-        assert!(s.has_context());
         let expected = {
             let a: Vec<f32> = model.w_in.row(1).iter().map(|&v| v as f32).collect();
             let b: Vec<f32> = model.w_out.row(2).iter().map(|&v| v as f32).collect();
@@ -401,7 +384,6 @@ mod tests {
         assert_eq!(s.link_score(1, 2).to_bits(), expected.to_bits());
         // Vectors-only store: symmetric fallback.
         let sv = EmbeddingStore::from_dense(&model.w_in, Provenance::non_private(3));
-        assert!(!sv.has_context());
         assert_eq!(sv.link_score(1, 2).to_bits(), sv.link_score(2, 1).to_bits());
     }
 
@@ -488,8 +470,8 @@ mod tests {
     fn nan_scores_rank_deterministically() {
         let m = F32Matrix::from_vec(3, 1, vec![f32::NAN, 1.0, 2.0]);
         let s = EmbeddingStore::from_f32(m, Provenance::non_private(0));
-        let a = s.exact_top_k(&[1.0], 3);
-        let b = s.exact_top_k(&[1.0], 3);
+        let a = s.try_exact_top_k(&[1.0], 3).unwrap();
+        let b = s.try_exact_top_k(&[1.0], 3).unwrap();
         assert_eq!(
             a.iter()
                 .map(|n| (n.node, n.score.to_bits()))

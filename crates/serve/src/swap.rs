@@ -1,15 +1,16 @@
 //! Atomic model republishing for continuously-updated serving.
 //!
-//! The dynamic pipeline retrains and republishes as the graph evolves;
-//! the serving side must pick each new model up **without** pausing or
-//! corrupting in-flight queries. The mechanism is generational: a
-//! [`ServingStore`] holds an `Arc` to the current [`Generation`]
-//! (store + optional index + version counter) behind an `RwLock` that
-//! is only ever held long enough to clone or replace the `Arc`. A
-//! query clones the `Arc` once and runs entirely against that
+//! A publisher retrains and rewrites the `.spm` file as the graph
+//! evolves; the serving side ([`ServingStore::reload_from`], behind
+//! `sp_served`'s `RELOAD`) must pick each new model up **without**
+//! pausing or corrupting in-flight queries. The mechanism is
+//! generational: a [`ServingStore`] holds an `Arc` to the current
+//! [`Generation`] (store + optional index + version counter) behind an
+//! `RwLock` that is only ever held long enough to clone or replace the
+//! `Arc`. A query clones the `Arc` once and runs entirely against that
 //! snapshot, so it observes one complete model — the old one or the
 //! new one, never a torn mix (asserted under real thread interleaving
-//! by the `sp_dynamic` republish suite).
+//! by the republish tests at the crate root).
 
 use crate::ivf::IvfIndex;
 use crate::store::{EmbeddingStore, Neighbor, QueryError};

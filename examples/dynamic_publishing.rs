@@ -51,7 +51,9 @@ fn main() {
             warm_start: warm,
             ..DynamicConfig::default()
         });
-        let results = embedder.fit(&snapshots);
+        let results = embedder
+            .fit(&snapshots)
+            .expect("no checkpoint directory is set, so training does no IO");
         println!("\n--- {label} (total ε = 3.5, δ = 1e-5) ---");
         println!(
             "{:>4}  {:>8}  {:>10}  {:>10}  {:>10}",

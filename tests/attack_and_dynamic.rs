@@ -88,7 +88,7 @@ fn dynamic_sequence_respects_total_budget_and_produces_usable_embeddings() {
         allocation: BudgetAllocation::GeometricDecay { rho: 0.7 },
         ..DynamicConfig::default()
     });
-    let results = embedder.fit(&snaps);
+    let results = embedder.fit(&snaps).unwrap();
     let total: f64 = results.iter().map(|r| r.report.epsilon_spent).sum();
     assert!(total <= 3.0 + 1e-9, "sequence overspent: {total}");
     for (t, r) in results.iter().enumerate() {

@@ -200,18 +200,6 @@ fn non_utf8_bytes_are_typed() {
 }
 
 #[test]
-fn self_loops_rejected_in_strict_mode() {
-    let err = load_edge_list_bytes(b"1 2\n4 4\n", ReadOptions::strict()).unwrap_err();
-    assert!(matches!(err, LoadError::SelfLoop { line: 2 }));
-}
-
-#[test]
-fn duplicate_edges_rejected_in_strict_mode() {
-    let err = load_edge_list_bytes(b"1 2\n2 3\n2 1\n", ReadOptions::strict()).unwrap_err();
-    assert!(matches!(err, LoadError::DuplicateEdge { line: 3 }));
-}
-
-#[test]
 fn out_of_range_ids_are_typed() {
     // One past u64::MAX cannot be an id.
     let err =

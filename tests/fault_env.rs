@@ -13,7 +13,6 @@ use se_privgemb_suite::serve::{
     synthetic, EmbeddingStore, ServeClient, ServerConfig, ServingStore,
 };
 use std::io::ErrorKind;
-use std::time::Duration;
 
 #[test]
 fn global_plan_fires_each_seam_once_then_recovers() {
@@ -21,31 +20,29 @@ fn global_plan_fires_each_seam_once_then_recovers() {
     // process: the plan is latched on first consultation.
     std::env::set_var(
         fault::PLAN_ENV,
-        "model.write@nth=1;datasets.read@nth=1;serve.conn@nth=1;checkpoint.write@nth=1,kind=permanent",
+        "model.write@nth=1;datasets.read@nth=1;serve.conn@nth=1;checkpoint.write@nth=1",
     );
-    assert!(fault::enabled(), "the plan must be active");
 
     let dir = std::env::temp_dir().join(format!("sp_fault_env_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    // --- model.write: first publication dies transiently ------------
+    // --- model.write: first publication dies -------------------------
     let spm = dir.join("model.spm");
     let file = ModelFile::dense(
         F32Matrix::from_vec(4, 2, vec![1.0; 8]),
         Provenance::non_private(1),
     );
     match file.write_atomic(&spm).unwrap_err() {
-        ModelError::Io(e) => assert_eq!(e.kind(), ErrorKind::TimedOut, "transient fault kind"),
+        ModelError::Io(e) => assert_eq!(e.kind(), ErrorKind::Other),
         other => panic!("expected an injected Io error, got {other:?}"),
     }
     assert!(!spm.exists(), "the injected crash must precede the write");
     // The second invocation is past the plan: publication succeeds.
     file.write_atomic(&spm).unwrap();
     assert_eq!(ModelFile::read(&spm).unwrap(), file);
-    assert_eq!(fault::invocations(fault::sites::MODEL_WRITE), 2);
 
-    // --- checkpoint.write: first checkpoint dies permanently --------
+    // --- checkpoint.write: first checkpoint dies ---------------------
     let spc = dir.join("ckpt-00000000000000000001.spc");
     let state = se_privgemb_suite::skipgram::trainer::TrainerState {
         fingerprint: 1,
@@ -63,7 +60,6 @@ fn global_plan_fires_each_seam_once_then_recovers() {
         accountant_steps: 0,
     };
     match write_checkpoint_atomic(&spc, &state).unwrap_err() {
-        // kind=permanent maps to Other, not the retryable TimedOut.
         ModelError::Io(e) => assert_eq!(e.kind(), ErrorKind::Other),
         other => panic!("expected an injected Io error, got {other:?}"),
     }
@@ -92,7 +88,7 @@ fn global_plan_fires_each_seam_once_then_recovers() {
     assert_eq!(doc.graph.num_edges(), 2);
 
     // --- serve.conn: the first connection is dropped pre-greeting;
-    // the client's bounded retry rides it out ------------------------
+    // the second is served -------------------------------------------
     let store = EmbeddingStore::from_f32(
         synthetic::clustered_embedding(50, 4, 5, 9),
         Provenance::non_private(9),
@@ -108,26 +104,16 @@ fn global_plan_fires_each_seam_once_then_recovers() {
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run().unwrap());
 
-    let policy = fault::retry::RetryPolicy {
-        attempts: 4,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(20),
-        seed: 3,
-    };
-    let mut client =
-        ServeClient::connect_with_retry(addr, Duration::from_secs(10), &policy).unwrap();
+    assert!(
+        ServeClient::connect(addr).is_err(),
+        "the first connection must be dropped before the greeting"
+    );
+    let mut client = ServeClient::connect(addr).unwrap();
     let (_, answer) = client.top_k(0, 5).unwrap();
     assert_eq!(answer.len(), 5);
     client.quit().unwrap();
     handle.shutdown();
     join.join().unwrap();
-    assert!(
-        fault::invocations(fault::sites::SERVE_CONN) >= 2,
-        "the dropped first connection must have been retried"
-    );
-
-    // Unseen sites were never counted.
-    assert_eq!(fault::invocations("no.such.site"), 0);
 
     // Determinism sanity for a seeded run: a fresh RNG stream is
     // unaffected by the fault layer being active.

@@ -429,42 +429,6 @@ fn failed_reload_keeps_last_good_generation_and_counts_reload_failed() {
 }
 
 #[test]
-fn connect_with_retry_survives_dropped_connections() {
-    use se_privgemb_suite::fault::retry::RetryPolicy;
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let flaky = std::thread::spawn(move || {
-        // A restarting server: the first two connections die before the
-        // greeting, the third serves a minimal session.
-        for _ in 0..2 {
-            let (stream, _) = listener.accept().unwrap();
-            drop(stream);
-        }
-        let (mut stream, _) = listener.accept().unwrap();
-        stream.write_all(b"SPSERVE 1 READY\n").unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "QUIT");
-        stream.write_all(b"OK BYE\n").unwrap();
-    });
-
-    // A single attempt fails (the greeting read hits EOF/reset — a
-    // transient error), but the bounded deterministic retry reaches the
-    // healthy third connection.
-    let policy = RetryPolicy {
-        attempts: 5,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(20),
-        seed: 7,
-    };
-    let client = ServeClient::connect_with_retry(addr, Duration::from_secs(10), &policy).unwrap();
-    client.quit().unwrap();
-    flaky.join().unwrap();
-}
-
-#[test]
 fn shutdown_drains_and_refuses_new_connections() {
     let serving = Arc::new(ServingStore::new(store(), None));
     let (addr, _handle, join, _metrics) = start(ServerConfig::default(), serving);
