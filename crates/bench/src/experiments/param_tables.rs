@@ -9,6 +9,7 @@ use crate::harness::{banner, dataset_graph, fmt_stats, sweep_threads, write_tsv,
 use se_privgemb::{ProximityKind, SePrivGEmb, SePrivGEmbBuilder};
 use sp_datasets::PaperDataset;
 use sp_eval::{struc_equ, PairSelection};
+use sp_graph::Graph;
 use sp_linalg::RunningStats;
 use sp_proximity::EdgeProximity;
 
@@ -45,16 +46,31 @@ impl SweepParam {
     }
 }
 
-/// The two SE-PrivGEmb variants of the tables.
-const VARIANTS: [(&str, ProximityKind); 2] = [
+/// The two SE-PrivGEmb variants of Tables II–VI.
+pub(crate) const VARIANTS: [(&str, ProximityKind); 2] = [
     ("SE-PrivGEmbDW", ProximityKind::DeepWalk { window: 2 }),
     ("SE-PrivGEmbDeg", ProximityKind::Degree),
 ];
 
-/// One (variant, dataset, parameter value, repetition) work item.
+/// Every (variant, dataset) cell of a table: its proximity kind, graph
+/// and edge proximity, variant-major in [`VARIANTS`] order, then in
+/// `prepared` order. Each proximity is computed once for all the jobs
+/// of its cell, on one thread: the cells are the pool.
+pub(crate) fn cells(
+    prepared: &[(PaperDataset, Graph)],
+) -> Vec<(ProximityKind, &Graph, EdgeProximity)> {
+    let pairs: Vec<(ProximityKind, &Graph)> = VARIANTS
+        .iter()
+        .flat_map(|&(_, kind)| prepared.iter().map(move |(_, g)| (kind, g)))
+        .collect();
+    sp_parallel::par_map(&pairs, sweep_threads(pairs.len()), |&(kind, g)| {
+        (kind, g, EdgeProximity::compute_threads(g, kind, Some(1)))
+    })
+}
+
+/// One (cell, parameter value, repetition) work item.
 struct Job {
-    prox: ProximityKind,
-    ds: PaperDataset,
+    cell: usize,
     param: SweepParam,
     rep: usize,
 }
@@ -65,46 +81,35 @@ pub fn run(mode: BenchMode, table_name: &str, title: &str, values: &[SweepParam]
     let reps = mode.reps();
     let datasets = PaperDataset::parameter_study();
 
-    // Pre-generate graphs + proximities once per (dataset, variant).
-    let prepared: Vec<(PaperDataset, sp_graph::Graph)> = datasets
+    // Pre-generate graphs once per dataset and proximities once per
+    // (variant, dataset).
+    let prepared: Vec<(PaperDataset, Graph)> = datasets
         .iter()
         .map(|&ds| (ds, dataset_graph(mode, ds, 7)))
         .collect();
+    let cells = cells(&prepared);
 
     let mut jobs = Vec::new();
-    for &(vname, prox) in &VARIANTS {
-        let _ = vname;
-        for &(ds, _) in &prepared {
-            for &param in values {
-                for rep in 0..reps {
-                    jobs.push(Job {
-                        prox,
-                        ds,
-                        param,
-                        rep,
-                    });
-                }
+    for cell in 0..cells.len() {
+        for &param in values {
+            for rep in 0..reps {
+                jobs.push(Job { cell, param, rep });
             }
         }
     }
 
-    let graph_of = |ds: PaperDataset| -> &sp_graph::Graph {
-        &prepared.iter().find(|(d, _)| *d == ds).unwrap().1
-    };
-
     let scores = sp_parallel::par_map(&jobs, sweep_threads(jobs.len()), |job| {
-        let g = graph_of(job.ds);
+        let (kind, g, prox) = &cells[job.cell];
         // Inner parallelism stays at 1: the sweep is the pool.
-        let prox = EdgeProximity::compute_threads(g, job.prox, Some(1));
         let builder = SePrivGEmb::builder()
             .dim(mode.dim())
             .epsilon(3.5)
             .epochs(mode.strucequ_epochs())
-            .proximity(job.prox)
+            .proximity(*kind)
             .threads(1)
             .seed(1000 + job.rep as u64);
         let model = job.param.apply(builder).build();
-        let result = model.fit_with_proximity(g, prox);
+        let result = model.fit_with_proximity(g, prox.clone());
         struc_equ(
             g,
             result.embeddings(),

@@ -2,12 +2,13 @@
 //! non-zero Eq. 9) on structural equivalence, at ε ∈ {0.5, 2, 3.5} on
 //! Chameleon, Power, and Arxiv, for both proximity variants.
 
+use super::param_tables::{cells, VARIANTS};
 use crate::harness::{banner, dataset_graph, fmt_stats, sweep_threads, write_tsv, BenchMode};
-use se_privgemb::{PerturbStrategy, ProximityKind, SePrivGEmb};
+use se_privgemb::{PerturbStrategy, SePrivGEmb};
 use sp_datasets::PaperDataset;
 use sp_eval::{struc_equ, PairSelection};
+use sp_graph::Graph;
 use sp_linalg::RunningStats;
-use sp_proximity::EdgeProximity;
 
 /// The ε grid of Table VI.
 pub fn epsilons() -> [f64; 3] {
@@ -15,8 +16,7 @@ pub fn epsilons() -> [f64; 3] {
 }
 
 struct Job {
-    prox: ProximityKind,
-    ds: PaperDataset,
+    cell: usize,
     eps: f64,
     strategy: PerturbStrategy,
     rep: usize,
@@ -29,54 +29,44 @@ pub fn run(mode: BenchMode) {
         mode,
     );
     let reps = mode.reps();
-    let variants = [
-        ("SE-PrivGEmbDW", ProximityKind::DeepWalk { window: 2 }),
-        ("SE-PrivGEmbDeg", ProximityKind::Degree),
-    ];
     let datasets = PaperDataset::parameter_study();
     let strategies = [PerturbStrategy::Naive, PerturbStrategy::NonZero];
 
-    let prepared: Vec<(PaperDataset, sp_graph::Graph)> = datasets
+    let prepared: Vec<(PaperDataset, Graph)> = datasets
         .iter()
         .map(|&ds| (ds, dataset_graph(mode, ds, 7)))
         .collect();
-    let graph_of = |ds: PaperDataset| -> &sp_graph::Graph {
-        &prepared.iter().find(|(d, _)| *d == ds).unwrap().1
-    };
+    let cells = cells(&prepared);
 
     let mut jobs = Vec::new();
-    for &(_, prox) in &variants {
-        for &(ds, _) in &prepared {
-            for &eps in &epsilons() {
-                for &strategy in &strategies {
-                    for rep in 0..reps {
-                        jobs.push(Job {
-                            prox,
-                            ds,
-                            eps,
-                            strategy,
-                            rep,
-                        });
-                    }
+    for cell in 0..cells.len() {
+        for &eps in &epsilons() {
+            for &strategy in &strategies {
+                for rep in 0..reps {
+                    jobs.push(Job {
+                        cell,
+                        eps,
+                        strategy,
+                        rep,
+                    });
                 }
             }
         }
     }
 
     let scores = sp_parallel::par_map(&jobs, sweep_threads(jobs.len()), |job| {
-        let g = graph_of(job.ds);
+        let (kind, g, prox) = &cells[job.cell];
         // Inner parallelism stays at 1: the sweep is the pool.
-        let prox = EdgeProximity::compute_threads(g, job.prox, Some(1));
         let result = SePrivGEmb::builder()
             .dim(mode.dim())
             .epsilon(job.eps)
             .epochs(mode.strucequ_epochs())
             .strategy(job.strategy)
-            .proximity(job.prox)
+            .proximity(*kind)
             .threads(1)
             .seed(2000 + job.rep as u64)
             .build()
-            .fit_with_proximity(g, prox);
+            .fit_with_proximity(g, prox.clone());
         struc_equ(
             g,
             result.embeddings(),
@@ -89,7 +79,7 @@ pub fn run(mode: BenchMode) {
 
     let mut tsv_rows = Vec::new();
     let mut cursor = 0usize;
-    for &(vname, _) in &variants {
+    for &(vname, _) in &VARIANTS {
         println!("\n{vname}");
         println!("{:>18}  {:>16}  {:>16}", "config", "Naive", "Non-zero");
         for &(ds, _) in &prepared {

@@ -34,7 +34,7 @@ use sp_datasets::PaperDataset;
 use sp_graph::io::ReadOptions;
 use sp_graph::Graph;
 use sp_model::{ModelFile, Provenance};
-use sp_serve::{recall_at_k, EmbeddingStore, IvfConfig, IvfIndex};
+use sp_serve::{recall_at_k, EmbeddingStore, Generation, IvfConfig, IvfIndex};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -482,15 +482,19 @@ fn run_query(argv: &[String]) -> Result<(), String> {
         p.delta
     );
 
-    let check_node = |node: u32| -> Result<(), String> {
-        if (node as usize) < store.num_nodes() {
-            Ok(())
-        } else {
-            Err(format!(
-                "node {node} out of range (model has {} nodes)",
-                store.num_nodes()
-            ))
+    // A node query builds its index only for a node the model has.
+    let index = match (args.node, args.ivf_nlist) {
+        (Some(node), Some(nlist)) => {
+            store.check_node(node).map_err(|e| e.to_string())?;
+            let cfg = IvfConfig::with_lists(nlist, args.nprobe);
+            Some(IvfIndex::build(&store, cfg, None))
         }
+        _ => None,
+    };
+    let generation = Generation {
+        store,
+        index,
+        version: 1,
     };
 
     // The answer is the command's output: failing to write it is an
@@ -498,41 +502,29 @@ fn run_query(argv: &[String]) -> Result<(), String> {
     let mut out = std::io::stdout().lock();
     let write_err = |e: std::io::Error| format!("cannot write the answer: {e}");
     if let Some((u, v)) = args.link {
-        check_node(u)?;
-        check_node(v)?;
-        writeln!(out, "{u}\t{v}\t{:.6}", store.link_score(u, v)).map_err(write_err)?;
+        let score = generation.try_link_score(u, v).map_err(|e| e.to_string())?;
+        writeln!(out, "{u}\t{v}\t{score:.6}").map_err(write_err)?;
         return out.flush().map_err(write_err);
     }
 
     let node = args.node.expect("node xor link enforced by the parser");
-    check_node(node)?;
-    let answer = match args.ivf_nlist {
-        None => store.exact_top_k_node(node, args.k),
-        Some(nlist) => {
-            let cfg = IvfConfig {
-                nlist,
-                nprobe: args.nprobe.unwrap_or_else(|| nlist.div_ceil(4)),
-                ..IvfConfig::default()
-            };
-            let index = IvfIndex::build(&store, cfg, None);
-            let answer = index.top_k_node(&store, node, args.k, cfg.nprobe);
-            if let Some(min_recall) = args.check_recall {
-                let exact = store.exact_top_k_node(node, args.k);
-                let recall = recall_at_k(&answer, &exact);
-                note!(
-                    "recall@{} vs exact oracle: {recall:.4} (threshold {min_recall})",
-                    args.k
-                );
-                if recall < min_recall {
-                    return Err(format!(
-                        "ANN recall@{} {recall:.4} below required {min_recall}",
-                        args.k
-                    ));
-                }
-            }
-            answer
+    let answer = generation
+        .try_top_k_node(node, args.k)
+        .map_err(|e| e.to_string())?;
+    if let Some(min_recall) = args.check_recall {
+        let exact = generation.store.exact_top_k_node(node, args.k);
+        let recall = recall_at_k(&answer, &exact);
+        note!(
+            "recall@{} vs exact oracle: {recall:.4} (threshold {min_recall})",
+            args.k
+        );
+        if recall < min_recall {
+            return Err(format!(
+                "ANN recall@{} {recall:.4} below required {min_recall}",
+                args.k
+            ));
         }
-    };
+    }
     for (rank, n) in answer.iter().enumerate() {
         writeln!(out, "{}\t{}\t{:.6}", rank + 1, n.node, n.score).map_err(write_err)?;
     }

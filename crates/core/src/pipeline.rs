@@ -129,7 +129,9 @@ impl SePrivGEmbBuilder {
     }
 
     /// Directory that receives `.spc` checkpoints (and is scanned on
-    /// resume). Created on first use.
+    /// resume). Created on first use. Needs
+    /// [`SePrivGEmbBuilder::checkpoint_every`]: a directory without a
+    /// cadence is refused by [`SePrivGEmbBuilder::try_build`].
     pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.train.checkpoint_dir = Some(dir.into());
         self
@@ -453,6 +455,21 @@ mod tests {
             resumed.result.embeddings().as_slice()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_dir_without_a_cadence_is_refused() {
+        let err = SePrivGEmb::builder()
+            .checkpoint_dir("ckpts")
+            .try_build()
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("checkpoint_every"), "{err}");
+        // A cadence alone stays valid: it feeds a caller's own sink.
+        assert!(SePrivGEmb::builder()
+            .checkpoint_every(5)
+            .try_build()
+            .is_ok());
     }
 
     #[test]

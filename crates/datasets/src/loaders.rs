@@ -55,13 +55,6 @@ pub enum LoadError {
         /// Number of distinct ids seen.
         nodes: u64,
     },
-    /// No candidate file for the dataset exists under the data dir.
-    NotFound {
-        /// Dataset display name.
-        dataset: &'static str,
-        /// The directory that was searched.
-        dir: PathBuf,
-    },
 }
 
 impl fmt::Display for LoadError {
@@ -85,9 +78,6 @@ impl fmt::Display for LoadError {
             ),
             LoadError::TooManyNodes { nodes } => {
                 write!(f, "{nodes} distinct node ids exceed the u32 id space")
-            }
-            LoadError::NotFound { dataset, dir } => {
-                write!(f, "no {dataset} edge list found under {}", dir.display())
             }
         }
     }

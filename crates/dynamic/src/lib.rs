@@ -153,9 +153,9 @@ impl DynamicEmbedder {
     /// node-level DP.
     ///
     /// # Errors
-    /// [`ModelError`] when `base.checkpoint_every` and
-    /// `base.checkpoint_dir` are both set and a checkpoint cannot be
-    /// written; in-memory-only training is otherwise infallible.
+    /// [`ModelError`] when `base.checkpoint_dir` is set and a
+    /// checkpoint cannot be written; in-memory-only training is
+    /// otherwise infallible.
     ///
     /// # Panics
     /// On an empty sequence, or snapshots with different node counts.
@@ -199,9 +199,7 @@ impl DynamicEmbedder {
                 (Some(prev), true) => Some(prev.clone()),
                 _ => None,
             };
-            let (model, report) = if trainer.config().checkpoint_every.is_some()
-                && trainer.config().checkpoint_dir.is_some()
-            {
+            let (model, report) = if trainer.config().checkpoint_dir.is_some() {
                 let run = train_with_checkpoints(&trainer, g, &prox, initial, true)?;
                 (run.model, run.report)
             } else {

@@ -7,11 +7,13 @@
 //!     [--max-line-bytes 4096]
 //! ```
 //!
-//! The server speaks the `SPSERVE 1` line protocol (`TOPK`, `LINK`,
-//! `INFO`, `STATS`, `RELOAD`, `QUIT`, `SHUTDOWN`); serving a published
-//! DP model is pure post-processing, so queries spend no privacy
-//! budget. `RELOAD` re-reads `--model` and swaps the new generation in
-//! atomically; `SHUTDOWN` drains in-flight requests and exits 0.
+//! The server speaks the `SPSERVE 1` line protocol (`TOPK`, `TOPKN`,
+//! `LINK`, `INFO`, `STATS`, `RELOAD`, `QUIT`, `SHUTDOWN`); serving a
+//! published DP model is pure post-processing, so queries spend no
+//! privacy budget. `--nprobe` defaults to ⌈nlist/4⌉. `RELOAD` re-reads
+//! `--model`, rebuilds the index the served generation has, and swaps
+//! the new generation in atomically; `SHUTDOWN` drains in-flight
+//! requests and exits 0.
 
 use sp_serve::{EmbeddingStore, IvfConfig, IvfIndex, Server, ServerConfig, ServingStore};
 use std::io::Write;
@@ -32,7 +34,7 @@ fn usage() -> &'static str {
     "usage: sp_served --model <file.spm> --listen <addr:port>\n\
      \t[--ivf-nlist <n> [--nprobe <p>]] [--max-conns 64] [--threads <n>]\n\
      \t[--read-timeout-ms 30000] [--write-timeout-ms 10000] [--max-line-bytes 4096]\n\
-     \tServes TOPK/LINK/INFO/STATS/RELOAD/QUIT/SHUTDOWN over the\n\
+     \tServes TOPK/TOPKN/LINK/INFO/STATS/RELOAD/QUIT/SHUTDOWN over the\n\
      \tSPSERVE 1 line protocol; SHUTDOWN drains and exits 0."
 }
 
@@ -120,11 +122,9 @@ fn run(args: Args) -> Result<(), String> {
         p.epsilon,
         p.delta
     );
-    let ivf = args.ivf_nlist.map(|nlist| IvfConfig {
-        nlist,
-        nprobe: args.nprobe.unwrap_or_else(|| nlist.div_ceil(4)),
-        ..IvfConfig::default()
-    });
+    let ivf = args
+        .ivf_nlist
+        .map(|nlist| IvfConfig::with_lists(nlist, args.nprobe));
     let index = ivf.map(|cfg| IvfIndex::build(&store, cfg, args.threads));
     let serving = Arc::new(ServingStore::new(store, index));
     let config = ServerConfig {
@@ -133,7 +133,6 @@ fn run(args: Args) -> Result<(), String> {
         write_timeout: Duration::from_millis(args.write_timeout_ms),
         max_line_bytes: args.max_line_bytes,
         model_path: Some(args.model.clone()),
-        ivf,
         threads: args.threads,
     };
     let server = Server::bind(args.listen.as_str(), serving, config)
@@ -146,14 +145,14 @@ fn run(args: Args) -> Result<(), String> {
         "sp_served listening on {addr} (SPSERVE {})",
         sp_serve::protocol::PROTOCOL_VERSION
     );
-    let report = server.run().map_err(|e| format!("server failed: {e}"))?;
+    let stats = server.run().map_err(|e| format!("server failed: {e}"))?;
     note!(
         std::io::stdout(),
         "sp_served drained: {} requests ({} errors) over {} connections ({} rejected)",
-        report.requests,
-        report.errors,
-        report.connections,
-        report.rejected
+        stats.requests,
+        stats.errors,
+        stats.conns_total,
+        stats.conns_rejected
     );
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! scores it returns are **bit-identical** to what the server computed
 //! — no decimal round-tripping on the wire.
 
-use crate::protocol::PROTOCOL_VERSION;
+use crate::protocol::{MAX_BULK_NODES, MAX_K, PROTOCOL_VERSION};
 use crate::store::Neighbor;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -171,31 +171,35 @@ impl ServeClient {
     pub fn top_k(&mut self, node: u32, k: usize) -> Result<(u64, Vec<Neighbor>), ClientError> {
         let header = self.request_line(&format!("TOPK {node} {k}"))?;
         let version = field(&header, "version=")?;
-        let count: usize = field(&header, "count=")?;
-        let mut answer = Vec::with_capacity(count);
-        for rank in 0..count {
+        let answer = self.read_ranked(field(&header, "count=")?)?;
+        self.expect_end()?;
+        Ok((version, answer))
+    }
+
+    /// Reads `count` `<rank> <node> <bits> <score>` lines, ranks in
+    /// order from 1, each score recovered from its bit pattern.
+    fn read_ranked(&mut self, count: usize) -> Result<Vec<Neighbor>, ClientError> {
+        // The count comes off the wire: a server answers at most MAX_K.
+        let mut answer = Vec::with_capacity(count.min(MAX_K));
+        for rank in 1..=count {
             let line = self.read_line()?;
             let mut parts = line.split_ascii_whitespace();
             let got_rank: usize = parse_next(&mut parts, "rank")?;
-            if got_rank != rank + 1 {
+            if got_rank != rank {
                 return Err(ClientError::Protocol(format!(
-                    "rank {got_rank} out of order (expected {})",
-                    rank + 1
+                    "rank {got_rank} out of order (expected {rank})"
                 )));
             }
-            let node: u32 = parse_next(&mut parts, "node")?;
-            let bits_text = parts
+            let node = parse_next(&mut parts, "node")?;
+            let bits = parts
                 .next()
                 .ok_or_else(|| ClientError::Protocol("missing bits field".to_string()))?;
-            let bits = u32::from_str_radix(bits_text, 16)
-                .map_err(|e| ClientError::Protocol(format!("bad bits field: {e}")))?;
             answer.push(Neighbor {
                 node,
-                score: f32::from_bits(bits),
+                score: parse_bits(bits)?,
             });
         }
-        self.expect_end()?;
-        Ok((version, answer))
+        Ok(answer)
     }
 
     /// `TOPKN k node…` → `(generation version, per-node ranked
@@ -214,37 +218,15 @@ impl ServeClient {
         let header = self.request_line(&request)?;
         let version = field(&header, "version=")?;
         let count: usize = field(&header, "nodes=")?;
-        let mut answers = Vec::with_capacity(count);
+        let mut answers = Vec::with_capacity(count.min(MAX_BULK_NODES));
         for _ in 0..count {
             let sub = self.read_line()?;
             let rest = sub
                 .strip_prefix("NODE ")
                 .ok_or_else(|| ClientError::Protocol(format!("expected NODE, got {sub:?}")))?;
             let mut parts = rest.split_ascii_whitespace();
-            let node: u32 = parse_next(&mut parts, "node")?;
-            let block_len: usize = parse_next(&mut parts, "count")?;
-            let mut answer = Vec::with_capacity(block_len);
-            for rank in 0..block_len {
-                let line = self.read_line()?;
-                let mut parts = line.split_ascii_whitespace();
-                let got_rank: usize = parse_next(&mut parts, "rank")?;
-                if got_rank != rank + 1 {
-                    return Err(ClientError::Protocol(format!(
-                        "rank {got_rank} out of order (expected {})",
-                        rank + 1
-                    )));
-                }
-                let neighbor: u32 = parse_next(&mut parts, "node")?;
-                let bits_text = parts
-                    .next()
-                    .ok_or_else(|| ClientError::Protocol("missing bits field".to_string()))?;
-                let bits = u32::from_str_radix(bits_text, 16)
-                    .map_err(|e| ClientError::Protocol(format!("bad bits field: {e}")))?;
-                answer.push(Neighbor {
-                    node: neighbor,
-                    score: f32::from_bits(bits),
-                });
-            }
+            let node = parse_next(&mut parts, "node")?;
+            let answer = self.read_ranked(parse_next(&mut parts, "count")?)?;
             answers.push((node, answer));
         }
         self.expect_end()?;
@@ -255,10 +237,8 @@ impl ServeClient {
     pub fn link(&mut self, u: u32, v: u32) -> Result<(u64, f32), ClientError> {
         let line = self.request_line(&format!("LINK {u} {v}"))?;
         let version = field(&line, "version=")?;
-        let bits_text: String = field(&line, "bits=")?;
-        let bits = u32::from_str_radix(&bits_text, 16)
-            .map_err(|e| ClientError::Protocol(format!("bad bits field: {e}")))?;
-        Ok((version, f32::from_bits(bits)))
+        let bits: String = field(&line, "bits=")?;
+        Ok((version, parse_bits(&bits)?))
     }
 
     /// `INFO` → provenance and serving parameters.
@@ -312,6 +292,13 @@ impl ServeClient {
             Err(ClientError::Protocol(format!("expected END, got {line:?}")))
         }
     }
+}
+
+/// A score from its eight-hex-digit f32 bit pattern.
+fn parse_bits(text: &str) -> Result<f32, ClientError> {
+    u32::from_str_radix(text, 16)
+        .map(f32::from_bits)
+        .map_err(|e| ClientError::Protocol(format!("bad bits field: {e}")))
 }
 
 fn split_err(rest: &str) -> (u16, String) {

@@ -22,7 +22,7 @@
 //! in node order with f64 accumulators. Ties in nearest-centroid
 //! selection break toward the lower centroid id via a total order.
 
-use crate::store::{EmbeddingStore, Neighbor, TopK};
+use crate::store::{dot, EmbeddingStore, Neighbor, TopK};
 use sp_linalg::vector::dist2_sq_f32_rows;
 use sp_parallel::{par_map, resolve_threads, splitmix64};
 use std::cmp::Ordering;
@@ -52,11 +52,27 @@ impl Default for IvfConfig {
     }
 }
 
+impl IvfConfig {
+    /// The default build over `nlist` lists, probing `nprobe` of them
+    /// (default ⌈nlist/4⌉) — what the `--ivf-nlist` and `--nprobe`
+    /// flags of `sp_served` and `se_privgemb_cli query` select.
+    pub fn with_lists(nlist: usize, nprobe: Option<usize>) -> Self {
+        Self {
+            nlist,
+            nprobe: nprobe.unwrap_or_else(|| nlist.div_ceil(4)),
+            ..Self::default()
+        }
+    }
+}
+
 /// The built index: coarse centroids plus one node list per centroid.
 #[derive(Clone, Debug)]
 pub struct IvfIndex {
     dim: usize,
-    nprobe_default: usize,
+    /// The parameters the index was built from, as given (before the
+    /// node-count clamp), so a rebuild over another store reproduces
+    /// the same request.
+    config: IvfConfig,
     /// `nlist * dim`, row-major.
     centroids: Vec<f32>,
     /// Node ids per list, ascending within each list.
@@ -182,10 +198,15 @@ impl IvfIndex {
 
         Self {
             dim,
-            nprobe_default: cfg.nprobe.clamp(1, nlist),
+            config: cfg,
             centroids,
             lists,
         }
+    }
+
+    /// The parameters this index was built from.
+    pub(crate) fn config(&self) -> IvfConfig {
+        self.config
     }
 
     /// Number of inverted lists.
@@ -193,9 +214,10 @@ impl IvfIndex {
         self.lists.len()
     }
 
-    /// The default probe count baked in at build time.
+    /// The default probe count: the configured `nprobe`, clamped to
+    /// `1..=nlist`.
     pub fn nprobe_default(&self) -> usize {
-        self.nprobe_default
+        self.config.nprobe.clamp(1, self.nlist())
     }
 
     /// Inverted-list sizes (diagnostics; sums to the node count).
@@ -239,7 +261,7 @@ impl IvfIndex {
             for &node in &self.lists[c as usize] {
                 top.push(Neighbor {
                     node,
-                    score: store.score(query, node),
+                    score: dot(query, store.embedding(node)),
                 });
             }
         }
@@ -255,8 +277,7 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
     ) -> Vec<Neighbor> {
-        let query = store.embedding(node).to_vec();
-        let mut out = self.top_k(store, &query, k + 1, nprobe);
+        let mut out = self.top_k(store, store.embedding(node), k + 1, nprobe);
         out.retain(|n| n.node != node);
         out.truncate(k);
         out

@@ -23,7 +23,9 @@
 //!   `RELOAD`. Queries run against an [`std::sync::Arc`] snapshot of
 //!   one *generation* (store + index + version); a republish swaps the
 //!   generation pointer, so in-flight queries see the old or the new
-//!   model in full, never a torn mix.
+//!   model in full, never a torn mix. A [`swap::Generation`] decides
+//!   how a query is answered (exact or through its index) for both
+//!   `sp_served` and `se_privgemb_cli query`.
 //!
 //! On top of those sits the network boundary: [`server::Server`] (the
 //! `sp_served` binary) speaks the versioned [`protocol`] line protocol
@@ -58,7 +60,7 @@ pub mod synthetic;
 pub use client::{ClientError, ServeClient, ServerInfo};
 pub use ivf::{IvfConfig, IvfIndex};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
-pub use server::{Server, ServerConfig, ServerReport, ShutdownHandle};
+pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use store::{recall_at_k, EmbeddingStore, Neighbor, QueryError};
 pub use swap::{Generation, ServingStore};
 
@@ -108,7 +110,7 @@ mod tests {
                     ModelFile::from_dense(&m, Provenance::non_private(v))
                         .write_atomic(path)
                         .unwrap();
-                    serving.reload_from(path, None, Some(1)).unwrap();
+                    serving.reload_from(path, Some(1)).unwrap();
                 }
                 done.store(true, Ordering::Release);
             });

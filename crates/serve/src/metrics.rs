@@ -8,6 +8,7 @@
 //! crosses the rank (an upper bound accurate to 2× — plenty for a
 //! p50/p99 regression signal).
 
+use crate::protocol::{Request, COMMANDS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -17,19 +18,6 @@ use std::time::Instant;
 /// `[2^(i-1), 2^i)` µs (bucket 0 holds sub-microsecond samples), so
 /// the top bucket saturates at ~2³⁸ µs — days.
 const LATENCY_BUCKETS: usize = 39;
-
-/// The request kinds tracked per command.
-pub(crate) const COMMAND_NAMES: [&str; 8] = [
-    "topk", "topkn", "link", "info", "stats", "reload", "quit", "shutdown",
-];
-
-/// Index into the per-command counters for a protocol command name.
-pub(crate) fn command_index(name: &str) -> usize {
-    COMMAND_NAMES
-        .iter()
-        .position(|&c| c.eq_ignore_ascii_case(name))
-        .expect("every Request maps to a counter")
-}
 
 /// Live counters of one running server. All methods are safe to call
 /// from any number of connection threads concurrently.
@@ -43,7 +31,7 @@ pub struct ServerMetrics {
     errors: AtomicU64,
     malformed: AtomicU64,
     reload_failed: AtomicU64,
-    per_command: [AtomicU64; COMMAND_NAMES.len()],
+    per_command: [AtomicU64; COMMANDS.len()],
     latency: [AtomicU64; LATENCY_BUCKETS],
     generation_hits: Mutex<BTreeMap<u64, u64>>,
 }
@@ -111,12 +99,12 @@ impl ServerMetrics {
         }
     }
 
-    /// One request completed. `command` is a protocol command name,
-    /// `generation` the model version that answered (query commands
+    /// One parsed request completed, counted under its command.
+    /// `generation` is the model version that answered (query commands
     /// only), `ok` whether the response was an `OK`.
     pub(crate) fn record_request(
         &self,
-        command: &str,
+        request: &Request,
         micros: u64,
         generation: Option<u64>,
         ok: bool,
@@ -125,7 +113,7 @@ impl ServerMetrics {
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.per_command[command_index(command)].fetch_add(1, Ordering::Relaxed);
+        self.per_command[request.command()].fetch_add(1, Ordering::Relaxed);
         self.latency[Self::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
         if let Some(version) = generation {
             let mut hits = self.generation_hits.lock().expect("metrics lock poisoned");
@@ -181,7 +169,7 @@ impl ServerMetrics {
             errors: self.errors.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             reload_failed: self.reload_failed.load(Ordering::Relaxed),
-            per_command: COMMAND_NAMES
+            per_command: COMMANDS
                 .iter()
                 .zip(&self.per_command)
                 .map(|(&name, c)| (name, c.load(Ordering::Relaxed)))
@@ -241,8 +229,8 @@ pub struct MetricsSnapshot {
     /// degradation signal on top of the request counters: each such
     /// request still counts once under `reload`/`errors`.
     pub reload_failed: u64,
-    /// Requests per protocol command, `(name, count)` in fixed
-    /// protocol order (`topk`, `topkn`, `link`, `info`, `stats`,
+    /// Requests per protocol command, `(name, count)` in
+    /// [`COMMANDS`] order (`topk`, `topkn`, `link`, `info`, `stats`,
     /// `reload`, `quit`, `shutdown`). A bulk `TOPKN` counts as **one**
     /// request however many nodes it carries, so the STATS invariant
     /// `requests == Σ per_command + malformed` is unaffected by batch
@@ -288,6 +276,9 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    const TOPK: Request = Request::TopK { node: 0, k: 1 };
+    const LINK: Request = Request::Link { u: 0, v: 1 };
+
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = ServerMetrics::new();
@@ -296,10 +287,10 @@ mod tests {
         m.conn_closed();
         assert!(m.try_accept(2)); // the freed slot is reusable
         assert!(!m.try_accept(2)); // over the bound: rejected
-        m.record_request("TOPK", 12, Some(1), true);
-        m.record_request("TOPK", 700, Some(2), true);
-        m.record_request("LINK", 3, Some(2), true);
-        m.record_request("RELOAD", 9000, None, false);
+        m.record_request(&TOPK, 12, Some(1), true);
+        m.record_request(&TOPK, 700, Some(2), true);
+        m.record_request(&LINK, 3, Some(2), true);
+        m.record_request(&Request::Reload, 9000, None, false);
         m.record_malformed(Some(1));
         let s = m.snapshot();
         assert_eq!(
@@ -311,9 +302,9 @@ mod tests {
         assert_eq!(s.requests, 5);
         assert_eq!(s.errors, 2);
         assert_eq!(s.malformed, 1);
-        assert_eq!(s.per_command[command_index("topk")], ("topk", 2));
-        assert_eq!(s.per_command[command_index("link")], ("link", 1));
-        assert_eq!(s.per_command[command_index("reload")], ("reload", 1));
+        assert_eq!(s.per_command[TOPK.command()], ("topk", 2));
+        assert_eq!(s.per_command[LINK.command()], ("link", 1));
+        assert_eq!(s.per_command[Request::Reload.command()], ("reload", 1));
         assert_eq!(s.generation_hits, vec![(1, 1), (2, 2)]);
         assert!(s.p50_us > 0 && s.p99_us >= s.p50_us);
     }
@@ -324,8 +315,8 @@ mod tests {
         // every recording path (attributed, parse error, unattributed
         // timeout/oversize with no latency sample).
         let m = ServerMetrics::new();
-        m.record_request("TOPK", 10, Some(1), true);
-        m.record_request("STATS", 5, None, true);
+        m.record_request(&TOPK, 10, Some(1), true);
+        m.record_request(&Request::Stats, 5, None, true);
         m.record_malformed(Some(2)); // parse error: timed
         m.record_malformed(None); // idle timeout: no sample
         m.record_malformed(None); // oversized line: no sample
@@ -348,7 +339,7 @@ mod tests {
         assert_eq!(s.malformed, 100);
         assert_eq!(s.p50_us, 0, "no samples means p50 stays 0");
         // Real samples are unaffected by interleaved timeouts.
-        m.record_request("TOPK", 1000, None, true);
+        m.record_request(&TOPK, 1000, None, true);
         m.record_malformed(None);
         let s = m.snapshot();
         assert!(s.p50_us >= 1000, "p50={} dragged down", s.p50_us);
@@ -394,10 +385,10 @@ mod tests {
         // in (and reports) the saturated top bucket instead of
         // overflowing the shift.
         let m = ServerMetrics::new();
-        m.record_request("INFO", 0, None, true);
+        m.record_request(&Request::Info, 0, None, true);
         assert_eq!(m.snapshot().p50_us, 1, "bucket 0 reports 1µs upper bound");
         let m = ServerMetrics::new();
-        m.record_request("INFO", u64::MAX, None, true);
+        m.record_request(&Request::Info, u64::MAX, None, true);
         let s = m.snapshot();
         assert_eq!(s.p50_us, 1u64 << (LATENCY_BUCKETS - 1));
         assert_eq!(s.p99_us, s.p50_us);
@@ -408,9 +399,9 @@ mod tests {
         // 100 samples at ~16us, 1 at ~4096us.
         let m = ServerMetrics::new();
         for _ in 0..100 {
-            m.record_request("INFO", 16, None, true);
+            m.record_request(&Request::Info, 16, None, true);
         }
-        m.record_request("INFO", 4096, None, true);
+        m.record_request(&Request::Info, 4096, None, true);
         let s = m.snapshot();
         assert!(s.p50_us >= 16 && s.p50_us <= 32, "p50={}", s.p50_us);
         assert!(s.p99_us <= 8192, "p99={}", s.p99_us);
@@ -427,7 +418,7 @@ mod tests {
     #[test]
     fn stats_block_is_end_terminated() {
         let m = ServerMetrics::new();
-        m.record_request("TOPK", 5, Some(3), true);
+        m.record_request(&TOPK, 5, Some(3), true);
         let block = m.snapshot().to_stats_block();
         let lines: Vec<&str> = block.lines().collect();
         assert!(lines[0].starts_with("OK STATS "));

@@ -30,6 +30,7 @@
 //! capacity or shutting down.
 
 use crate::store::{Neighbor, QueryError};
+use std::fmt::Write;
 
 /// The protocol version this build speaks (greeting `SPSERVE 1`).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -48,6 +49,12 @@ pub const MAX_K: usize = 10_000;
 /// queries amortise round-trips, they must not become a way to pin a
 /// worker on an unbounded batch.
 pub const MAX_BULK_NODES: usize = 128;
+
+/// Every command, in protocol order, by the name `STATS` gives its
+/// per-command counter; [`Request::command`] indexes it.
+pub const COMMANDS: [&str; 8] = [
+    "topk", "topkn", "link", "info", "stats", "reload", "quit", "shutdown",
+];
 
 /// One parsed client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -161,17 +168,17 @@ impl Request {
         }
     }
 
-    /// The canonical command name (metrics label).
-    pub fn command_name(&self) -> &'static str {
+    /// This request's command: its position in [`COMMANDS`].
+    pub fn command(&self) -> usize {
         match self {
-            Request::TopK { .. } => "TOPK",
-            Request::TopKN { .. } => "TOPKN",
-            Request::Link { .. } => "LINK",
-            Request::Info => "INFO",
-            Request::Stats => "STATS",
-            Request::Reload => "RELOAD",
-            Request::Quit => "QUIT",
-            Request::Shutdown => "SHUTDOWN",
+            Request::TopK { .. } => 0,
+            Request::TopKN { .. } => 1,
+            Request::Link { .. } => 2,
+            Request::Info => 3,
+            Request::Stats => 4,
+            Request::Reload => 5,
+            Request::Quit => 6,
+            Request::Shutdown => 7,
         }
     }
 }
@@ -198,41 +205,41 @@ pub fn query_error_code(err: &QueryError) -> u16 {
     }
 }
 
-/// The `TOPK` response block: header, one line per neighbour (rank is
-/// 1-based; `bits` is the exact f32 bit pattern), `END`.
-pub fn format_topk(version: u64, answer: &[Neighbor]) -> String {
-    let mut out = format!("OK TOPK version={version} count={}\n", answer.len());
+/// Appends one `<rank> <node> <bits> <score>` line per neighbour:
+/// rank is 1-based, `bits` the exact f32 bit pattern in eight
+/// lowercase hex digits, `score` its decimal rendering.
+fn push_ranked(out: &mut String, answer: &[Neighbor]) {
     for (rank, n) in answer.iter().enumerate() {
-        out.push_str(&format!(
-            "{} {} {:08x} {}\n",
+        writeln!(
+            out,
+            "{} {} {:08x} {}",
             rank + 1,
             n.node,
             n.score.to_bits(),
             n.score
-        ));
+        )
+        .expect("writing to a String cannot fail");
     }
+}
+
+/// The `TOPK` response block: header, one ranked line per neighbour,
+/// `END`.
+pub fn format_topk(version: u64, answer: &[Neighbor]) -> String {
+    let mut out = format!("OK TOPK version={version} count={}\n", answer.len());
+    push_ranked(&mut out, answer);
     out.push_str("END\n");
     out
 }
 
 /// The `TOPKN` response block: header, then one `NODE <node> <count>`
-/// sub-header per queried node followed by its neighbour lines (same
-/// `<rank> <node> <bits> <score>` shape as `TOPK`), then one `END`.
-/// Every block was answered from the same store snapshot, so a single
-/// `version=` field covers them all.
+/// sub-header per queried node followed by its ranked lines (the
+/// `TOPK` shape), then one `END`. Every block was answered from the
+/// same store snapshot, so a single `version=` field covers them all.
 pub fn format_topkn(version: u64, k: usize, answers: &[(u32, Vec<Neighbor>)]) -> String {
     let mut out = format!("OK TOPKN version={version} nodes={} k={k}\n", answers.len());
     for (node, answer) in answers {
         out.push_str(&format!("NODE {node} {}\n", answer.len()));
-        for (rank, n) in answer.iter().enumerate() {
-            out.push_str(&format!(
-                "{} {} {:08x} {}\n",
-                rank + 1,
-                n.node,
-                n.score.to_bits(),
-                n.score
-            ));
-        }
+        push_ranked(&mut out, answer);
     }
     out.push_str("END\n");
     out
@@ -304,6 +311,20 @@ mod tests {
             Request::parse("  TOPK   7   2  "),
             Ok(Request::TopK { node: 7, k: 2 })
         );
+        // Each command counts under its own name.
+        for line in [
+            "TOPK 3 10",
+            "TOPKN 5 1 2",
+            "LINK 1 2",
+            "INFO",
+            "STATS",
+            "RELOAD",
+            "QUIT",
+            "SHUTDOWN",
+        ] {
+            let name = line.split(' ').next().unwrap().to_ascii_lowercase();
+            assert_eq!(COMMANDS[Request::parse(line).unwrap().command()], name);
+        }
     }
 
     #[test]

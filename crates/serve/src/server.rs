@@ -12,7 +12,7 @@
 //! Shutdown is SIGTERM-style: a shared flag (set by the protocol
 //! `SHUTDOWN` command or a [`ShutdownHandle`]) stops the accept loop,
 //! closes the listener, and lets every in-flight connection finish its
-//! current request before [`Server::run`] returns with a drain report.
+//! current request before [`Server::run`] returns the final counters.
 //!
 //! The correctness contract of the whole front-end: every `TOPK` and
 //! `LINK` response is **bit-identical** to the same query answered
@@ -21,8 +21,7 @@
 //! this; the privacy story is unchanged because serving a published
 //! model is pure post-processing).
 
-use crate::ivf::IvfConfig;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::protocol::{self, Request};
 use crate::swap::ServingStore;
 use std::io::{Read, Write};
@@ -51,11 +50,11 @@ pub struct ServerConfig {
     /// the connection is closed (framing cannot resync).
     pub max_line_bytes: usize,
     /// The `.spm` file `RELOAD` republishes from; `None` disables
-    /// `RELOAD` (`ERR 400`).
+    /// `RELOAD` (`ERR 400`). A reload serves the new model with the
+    /// index the served generation has: exact stays exact, and an IVF
+    /// index is rebuilt from its own configuration
+    /// ([`ServingStore::reload_from`]).
     pub model_path: Option<PathBuf>,
-    /// IVF parameters applied when `RELOAD` rebuilds the index;
-    /// `None` reloads exact-only.
-    pub ivf: Option<IvfConfig>,
     /// Thread count for `RELOAD` index rebuilds (`None`: `SP_THREADS`
     /// / available parallelism).
     pub threads: Option<usize>,
@@ -69,23 +68,9 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
             model_path: None,
-            ivf: None,
             threads: None,
         }
     }
-}
-
-/// Counters reported when [`Server::run`] drains and returns.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerReport {
-    /// Connections accepted over the server lifetime.
-    pub connections: u64,
-    /// Connections rejected at the `max_conns` bound.
-    pub rejected: u64,
-    /// Requests handled.
-    pub requests: u64,
-    /// Requests answered with an `ERR` line.
-    pub errors: u64,
 }
 
 /// Sets the shutdown flag of a running [`Server`] from another thread
@@ -152,7 +137,7 @@ impl Server {
     /// Runs the accept loop until shutdown, then drains: the listener
     /// closes first, every in-flight connection finishes its current
     /// request, and the final counters are returned.
-    pub fn run(self) -> std::io::Result<ServerReport> {
+    pub fn run(self) -> std::io::Result<MetricsSnapshot> {
         let Server {
             listener,
             serving,
@@ -193,13 +178,7 @@ impl Server {
             // get connection-refused instead of a hang during drain.
             drop(listener);
         });
-        let s = metrics.snapshot();
-        Ok(ServerReport {
-            connections: s.conns_total,
-            rejected: s.conns_rejected,
-            requests: s.requests,
-            errors: s.errors,
-        })
+        Ok(metrics.snapshot())
     }
 }
 
@@ -209,13 +188,6 @@ fn reject_at_capacity(mut stream: TcpStream, config: &ServerConfig) {
     stream
         .write_all(protocol::err_line(503, "server at connection capacity").as_bytes())
         .ok();
-}
-
-/// What the connection loop does after writing a response.
-enum ConnAction {
-    Continue,
-    Close,
-    Shutdown,
 }
 
 /// Outcome of one line read, distinguishing every way a connection can
@@ -331,19 +303,21 @@ fn handle_connection(
                         continue;
                     }
                 };
-                let cmd = req.command_name();
-                let (response, generation, ok, action) = execute(req, serving, config, metrics);
-                metrics.record_request(cmd, t0.elapsed().as_micros() as u64, generation, ok);
+                let (response, generation, ok) = match execute(&req, serving, config, metrics) {
+                    Ok((response, generation)) => (response, generation, true),
+                    Err(line) => (line, None, false),
+                };
+                metrics.record_request(&req, t0.elapsed().as_micros() as u64, generation, ok);
                 if stream.write_all(response.as_bytes()).is_err() {
                     return;
                 }
-                match action {
-                    ConnAction::Continue => {}
-                    ConnAction::Close => return,
-                    ConnAction::Shutdown => {
+                match req {
+                    Request::Quit => return,
+                    Request::Shutdown => {
                         shutdown.store(true, Ordering::Release);
                         return;
                     }
+                    _ => {}
                 }
             }
             Ok(LineEvent::Eof) | Ok(LineEvent::ShuttingDown) | Err(_) => return,
@@ -373,141 +347,70 @@ fn handle_connection(
     }
 }
 
-/// Answers one parsed request: `(response, generation answered from,
-/// was OK, what to do with the connection)`.
+/// Answers one parsed request: its response and, for a query, the
+/// generation that answered it, or the `ERR` line that refuses it.
+/// Queries answer from one snapshot, so every block of a `TOPKN`
+/// carries the same generation even if a `RELOAD` races it.
 fn execute(
-    req: Request,
+    req: &Request,
     serving: &ServingStore,
     config: &ServerConfig,
     metrics: &ServerMetrics,
-) -> (String, Option<u64>, bool, ConnAction) {
-    match req {
-        Request::TopK { node, k } => {
-            let generation = serving.snapshot();
-            match generation.try_top_k_node(node, k) {
-                Ok(answer) => (
-                    protocol::format_topk(generation.version, &answer),
-                    Some(generation.version),
-                    true,
-                    ConnAction::Continue,
-                ),
-                Err(e) => (
-                    protocol::err_line(protocol::query_error_code(&e), &e.to_string()),
-                    None,
-                    false,
-                    ConnAction::Continue,
-                ),
-            }
-        }
-        Request::TopKN { nodes, k } => {
-            // One snapshot answers the whole batch: every per-node
-            // block carries the same generation even if a RELOAD races
-            // the request. Any failing node fails the whole request
-            // with one ERR (the first failure, so the client sees a
-            // deterministic message) — partial responses would leave
-            // the framing ambiguous.
-            let generation = serving.snapshot();
-            let mut answers = Vec::with_capacity(nodes.len());
-            for node in nodes {
-                match generation.try_top_k_node(node, k) {
-                    Ok(answer) => answers.push((node, answer)),
-                    Err(e) => {
-                        return (
-                            protocol::err_line(protocol::query_error_code(&e), &e.to_string()),
-                            None,
-                            false,
-                            ConnAction::Continue,
-                        )
-                    }
-                }
-            }
-            (
-                protocol::format_topkn(generation.version, k, &answers),
-                Some(generation.version),
-                true,
-                ConnAction::Continue,
-            )
-        }
-        Request::Link { u, v } => {
-            let generation = serving.snapshot();
-            match generation.try_link_score(u, v) {
-                Ok(score) => (
-                    protocol::format_link(generation.version, score),
-                    Some(generation.version),
-                    true,
-                    ConnAction::Continue,
-                ),
-                Err(e) => (
-                    protocol::err_line(protocol::query_error_code(&e), &e.to_string()),
-                    None,
-                    false,
-                    ConnAction::Continue,
-                ),
-            }
-        }
+) -> Result<(String, Option<u64>), String> {
+    let generation = serving.snapshot();
+    let version = generation.version;
+    let answer = match req {
+        Request::TopK { node, k } => generation
+            .try_top_k_node(*node, *k)
+            .map(|answer| protocol::format_topk(version, &answer)),
+        // Any failing node fails the whole request with the first
+        // failure: a partial response would leave the framing ambiguous.
+        Request::TopKN { nodes, k } => nodes
+            .iter()
+            .map(|&node| Ok((node, generation.try_top_k_node(node, *k)?)))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|answers| protocol::format_topkn(version, *k, &answers)),
+        Request::Link { u, v } => generation
+            .try_link_score(*u, *v)
+            .map(|score| protocol::format_link(version, score)),
         Request::Info => {
-            let generation = serving.snapshot();
             let p = generation.store.provenance();
             let index = match &generation.index {
                 Some(idx) => format!("ivf(nlist={},nprobe={})", idx.nlist(), idx.nprobe_default()),
                 None => "exact".to_string(),
             };
-            (
-                protocol::format_info(
-                    generation.version,
-                    generation.store.num_nodes(),
-                    generation.store.dim(),
-                    p.seed,
-                    p.epsilon,
-                    p.delta,
-                    &index,
-                ),
-                Some(generation.version),
-                true,
-                ConnAction::Continue,
-            )
+            Ok(protocol::format_info(
+                version,
+                generation.store.num_nodes(),
+                generation.store.dim(),
+                p.seed,
+                p.epsilon,
+                p.delta,
+                &index,
+            ))
         }
-        Request::Stats => (
-            metrics.snapshot().to_stats_block(),
-            None,
-            true,
-            ConnAction::Continue,
-        ),
-        Request::Reload => match &config.model_path {
-            None => (
-                protocol::err_line(400, "no model path configured for RELOAD"),
-                None,
-                false,
-                ConnAction::Continue,
-            ),
-            Some(path) => match serving.reload_from(path, config.ivf, config.threads) {
-                Ok(version) => (
-                    protocol::format_reload(version),
-                    None,
-                    true,
-                    ConnAction::Continue,
-                ),
+        Request::Stats => return Ok((metrics.snapshot().to_stats_block(), None)),
+        Request::Reload => {
+            let path = config
+                .model_path
+                .as_ref()
+                .ok_or_else(|| protocol::err_line(400, "no model path configured for RELOAD"))?;
+            return match serving.reload_from(path, config.threads) {
+                Ok(version) => Ok((protocol::format_reload(version), None)),
                 Err(e) => {
                     // The swap never happened: the last-good generation
                     // keeps serving. Surface the degradation in STATS.
                     metrics.record_reload_failed();
-                    (
-                        protocol::err_line(500, &format!("reload failed: {e}")),
-                        None,
-                        false,
-                        ConnAction::Continue,
-                    )
+                    Err(protocol::err_line(500, &format!("reload failed: {e}")))
                 }
-            },
-        },
-        Request::Quit => ("OK BYE\n".to_string(), None, true, ConnAction::Close),
-        Request::Shutdown => (
-            "OK SHUTDOWN draining\n".to_string(),
-            None,
-            true,
-            ConnAction::Shutdown,
-        ),
-    }
+            };
+        }
+        Request::Quit => return Ok(("OK BYE\n".to_string(), None)),
+        Request::Shutdown => return Ok(("OK SHUTDOWN draining\n".to_string(), None)),
+    };
+    answer
+        .map(|response| (response, Some(version)))
+        .map_err(|e| protocol::err_line(protocol::query_error_code(&e), &e.to_string()))
 }
 
 #[cfg(test)]
@@ -530,7 +433,7 @@ mod tests {
     ) -> (
         SocketAddr,
         ShutdownHandle,
-        std::thread::JoinHandle<ServerReport>,
+        std::thread::JoinHandle<MetricsSnapshot>,
     ) {
         let server = Server::bind("127.0.0.1:0", tiny_serving(), config).unwrap();
         let addr = server.local_addr().unwrap();
@@ -572,7 +475,7 @@ mod tests {
 
         handle.shutdown();
         let report = join.join().unwrap();
-        assert_eq!(report.connections, 1);
+        assert_eq!(report.conns_total, 1);
         assert_eq!(report.requests, 2);
         assert_eq!(report.errors, 0);
     }
@@ -693,17 +596,15 @@ mod tests {
         assert!(line.starts_with("ERR 503"), "{line}");
         drop(first);
         handle.shutdown();
-        let report = join.join().unwrap();
-        assert_eq!(report.rejected, 1);
+        let s = join.join().unwrap();
+        assert_eq!(s.conns_rejected, 1);
         // "Connections accepted over the server lifetime" means exactly
         // that: the rejected connection must not inflate the count.
         assert_eq!(
-            report.connections, 1,
+            s.conns_total, 1,
             "a 503-rejected connection was counted as accepted"
         );
-        let s = metrics.snapshot();
-        assert_eq!(s.conns_total, 1);
-        assert_eq!(s.conns_rejected, 1);
         assert_eq!(s.conns_active, 0, "all accepted connections drained");
+        assert_eq!(metrics.snapshot().conns_total, 1);
     }
 }

@@ -234,16 +234,6 @@ impl EmbeddingStore {
         }
     }
 
-    /// Inner-product score of `node` against an arbitrary query vector.
-    ///
-    /// # Panics
-    /// Panics if `query.len() != self.dim()`.
-    #[inline]
-    pub fn score(&self, query: &[f32], node: u32) -> f32 {
-        assert_eq!(query.len(), self.dim(), "query dimension mismatch");
-        dot(query, self.embedding(node))
-    }
-
     /// Link-probability score `σ(W_in[u] · W_out[v])` — the model's
     /// edge likelihood (Eq. 5's positive term). Falls back to the
     /// symmetric `σ(W_in[u] · W_in[v])` when the published file carried
@@ -295,21 +285,13 @@ impl EmbeddingStore {
     }
 
     /// [`EmbeddingStore::exact_top_k_node`] with typed validation
-    /// instead of a panic.
+    /// instead of a panic: the brute-force scan over the node's own
+    /// row for `k + 1`, the node dropped, the answer cut to `k` — the
+    /// shape of [`crate::IvfIndex::top_k_node`].
     pub fn try_exact_top_k_node(&self, node: u32, k: usize) -> Result<Vec<Neighbor>, QueryError> {
         self.check_node(node)?;
-        let query = self.embedding(node).to_vec();
-        let mut top = TopK::new(k + 1);
-        for cand in 0..self.num_nodes() as u32 {
-            if cand == node {
-                continue;
-            }
-            top.push(Neighbor {
-                node: cand,
-                score: dot(&query, self.vectors.row(cand as usize)),
-            });
-        }
-        let mut out = top.into_sorted();
+        let mut out = self.try_exact_top_k(self.embedding(node), k + 1)?;
+        out.retain(|n| n.node != node);
         out.truncate(k);
         Ok(out)
     }
@@ -369,6 +351,52 @@ mod tests {
         // Node 2 = (1,1): best other node by inner product is 0 or 1
         // (both score 1) -> 0 wins the tie.
         assert_eq!(got[0].node, 0);
+    }
+
+    #[test]
+    fn node_query_matches_a_sorted_reference() {
+        // Reference: score every other node, sort by the ranking order,
+        // cut to k. Covers ties, ±0, ±∞ and NaN scores, and k of 0, 1,
+        // n − 1 and beyond n.
+        let inf = f32::INFINITY;
+        let rows = [
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [1.0, 1.0],
+            [1.0, 1.0],
+            [-0.0, 0.0],
+            [inf, 0.0],
+            [-inf, 1.0],
+            [f32::NAN, 0.0],
+            [0.0, -inf],
+        ];
+        let special = F32Matrix::from_vec(rows.len(), 2, rows.concat());
+        let clustered = crate::synthetic::clustered_embedding(60, 16, 4, 0xC1);
+        for m in [special, clustered] {
+            let s = EmbeddingStore::from_f32(m, Provenance::non_private(0));
+            let n = s.num_nodes();
+            for node in 0..n as u32 {
+                for k in [0, 1, 5, n - 1, n + 3] {
+                    let mut reference: Vec<Neighbor> = (0..n as u32)
+                        .filter(|&c| c != node)
+                        .map(|c| Neighbor {
+                            node: c,
+                            score: dot(s.embedding(node), s.embedding(c)),
+                        })
+                        .collect();
+                    reference.sort_by(Neighbor::rank_cmp);
+                    reference.truncate(k);
+                    let bits = |v: &[Neighbor]| -> Vec<(u32, u32)> {
+                        v.iter().map(|x| (x.node, x.score.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(&s.exact_top_k_node(node, k)),
+                        bits(&reference),
+                        "node {node}, k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! A publisher retrains and rewrites the `.spm` file as the graph
 //! evolves; the serving side ([`ServingStore::reload_from`], behind
 //! `sp_served`'s `RELOAD`) must pick each new model up **without**
-//! pausing or corrupting in-flight queries. The mechanism is
-//! generational: a [`ServingStore`] holds an `Arc` to the current
-//! [`Generation`] (store + optional index + version counter) behind an
-//! `RwLock` that is only ever held long enough to clone or replace the
-//! `Arc`. A query clones the `Arc` once and runs entirely against that
-//! snapshot, so it observes one complete model — the old one or the
-//! new one, never a torn mix (asserted under real thread interleaving
-//! by the republish tests at the crate root).
+//! pausing or corrupting in-flight queries, and serve it the way it
+//! served the old one: a reload rebuilds the index the served
+//! generation has, from that index's own [`crate::IvfConfig`]. The
+//! mechanism is generational: a [`ServingStore`] holds an `Arc` to the
+//! current [`Generation`] (store + optional index + version counter)
+//! behind an `RwLock` that is only ever held long enough to clone or
+//! replace the `Arc`. A query clones the `Arc` once and runs entirely
+//! against that snapshot, so it observes one complete model — the old
+//! one or the new one, never a torn mix (asserted under real thread
+//! interleaving by the republish tests at the crate root).
 
 use crate::ivf::IvfIndex;
 use crate::store::{EmbeddingStore, Neighbor, QueryError};
@@ -41,20 +43,21 @@ impl Generation {
     }
 
     /// [`Generation::top_k_node`] with typed validation instead of a
-    /// panic — the entry point the TCP front-end answers `TOPK` from.
+    /// panic — the entry point `sp_served` answers `TOPK` and `TOPKN`
+    /// from, and `se_privgemb_cli query` answers `--node` from.
     pub fn try_top_k_node(&self, node: u32, k: usize) -> Result<Vec<Neighbor>, QueryError> {
-        self.store.check_node(node)?;
-        Ok(match &self.index {
-            Some(idx) => idx.top_k_node(&self.store, node, k, idx.nprobe_default()),
-            None => self
-                .store
-                .try_exact_top_k_node(node, k)
-                .expect("node validated above"),
-        })
+        match &self.index {
+            Some(idx) => {
+                self.store.check_node(node)?;
+                Ok(idx.top_k_node(&self.store, node, k, idx.nprobe_default()))
+            }
+            None => self.store.try_exact_top_k_node(node, k),
+        }
     }
 
     /// Link score within this generation, with typed validation — the
-    /// entry point the TCP front-end answers `LINK` from.
+    /// entry point `sp_served` answers `LINK` from, and
+    /// `se_privgemb_cli query` answers `--link` from.
     pub fn try_link_score(&self, u: u32, v: u32) -> Result<f32, QueryError> {
         self.store.try_link_score(u, v)
     }
@@ -104,15 +107,15 @@ impl ServingStore {
         version
     }
 
-    /// Loads a published `.spm` file and swaps it in, optionally
-    /// building an IVF index first (outside the lock — queries keep
-    /// flowing against the old generation during the build).
-    pub fn reload_from(
-        &self,
-        path: &Path,
-        ivf: Option<crate::ivf::IvfConfig>,
-        threads: Option<usize>,
-    ) -> Result<u64, ModelError> {
+    /// Loads a published `.spm` file and swaps it in. When the served
+    /// generation has an IVF index, an index of the configuration that
+    /// one was built from is built over the new store first, on
+    /// `threads` workers (`None`: `SP_THREADS` / available
+    /// parallelism), outside the lock — queries keep flowing against
+    /// the old generation during the build. An exact generation
+    /// reloads exact.
+    pub fn reload_from(&self, path: &Path, threads: Option<usize>) -> Result<u64, ModelError> {
+        let ivf = self.snapshot().index.as_ref().map(IvfIndex::config);
         let store = EmbeddingStore::open(path)?;
         let index = ivf.map(|cfg| IvfIndex::build(&store, cfg, threads));
         Ok(self.publish(store, index))
@@ -174,7 +177,7 @@ mod tests {
     fn reload_from_missing_file_is_typed_and_keeps_serving() {
         let serving = ServingStore::new(constant_store(3, 2, 1.0), None);
         let err = serving
-            .reload_from(Path::new("/nonexistent/model.spm"), None, Some(1))
+            .reload_from(Path::new("/nonexistent/model.spm"), Some(1))
             .unwrap_err();
         assert!(matches!(err, ModelError::Io(_)));
         // A failed reload never tears down the current generation.

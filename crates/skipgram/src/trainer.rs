@@ -136,7 +136,10 @@ pub struct TrainConfig {
     /// `.spc` files into. The trainer itself never touches the
     /// filesystem; this setting rides along so pipeline layers
     /// ([`crate::Trainer::train_checkpointed`] callers, the CLI,
-    /// `sp_dynamic`) know where to persist and resume from.
+    /// `sp_dynamic`) know where to persist and resume from. Setting it
+    /// requires [`TrainConfig::checkpoint_every`], so a directory
+    /// always receives checkpoints; a cadence without a directory is
+    /// valid and feeds a caller's own sink.
     pub checkpoint_dir: Option<PathBuf>,
 }
 
@@ -185,6 +188,9 @@ impl TrainConfig {
         }
         if self.checkpoint_every == Some(0) {
             return Err("checkpoint_every must be >= 1 when set".into());
+        }
+        if self.checkpoint_dir.is_some() && self.checkpoint_every.is_none() {
+            return Err("checkpoint_dir needs checkpoint_every (the step cadence)".into());
         }
         if self.strategy.is_private() {
             if self.sigma.is_nan() || self.sigma <= 0.0 {

@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use se_privgemb_suite::model::{ModelFile, Provenance};
 use se_privgemb_suite::serve::{
-    synthetic, EmbeddingStore, IvfConfig, IvfIndex, ServeClient, Server, ServerConfig,
-    ServerMetrics, ServingStore, ShutdownHandle,
+    synthetic, EmbeddingStore, IvfConfig, IvfIndex, MetricsSnapshot, ServeClient, Server,
+    ServerConfig, ServerMetrics, ServingStore, ShutdownHandle,
 };
 use se_privgemb_suite::skipgram::SkipGramModel;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -39,7 +39,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Binds a server on an ephemeral loopback port and runs it on its own
-/// thread; the join handle yields the drain report, and the metrics
+/// thread; the join handle yields the final counters, and the metrics
 /// handle lets tests assert the STATS accounting invariants.
 fn start(
     config: ServerConfig,
@@ -47,7 +47,7 @@ fn start(
 ) -> (
     SocketAddr,
     ShutdownHandle,
-    std::thread::JoinHandle<se_privgemb_suite::serve::ServerReport>,
+    std::thread::JoinHandle<MetricsSnapshot>,
     Arc<ServerMetrics>,
 ) {
     let server = Server::bind("127.0.0.1:0", serving, config).unwrap();
@@ -349,6 +349,60 @@ fn reload_swaps_complete_generations_and_rejects_torn_files() {
     let version = client.reload().unwrap();
     assert!(version > last_version);
 
+    client.quit().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reload_rebuilds_the_index_the_served_generation_has() {
+    // The server's configuration names only the model path: the index
+    // a RELOAD builds comes from the generation being served.
+    let dir = temp_dir("reload_index");
+    let path = dir.join("model.spm");
+    write_model(&path, 3);
+    let cfg = IvfConfig {
+        nlist: 8,
+        nprobe: 4,
+        iters: 2,
+        seed: 99,
+    };
+    let base = EmbeddingStore::open(&path).unwrap();
+    let index = IvfIndex::build(&base, cfg, Some(1));
+    let serving = Arc::new(ServingStore::new(base, Some(index)));
+    let config = ServerConfig {
+        model_path: Some(path.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle, join, _metrics) = start(config, Arc::clone(&serving));
+
+    let mut client = ServeClient::connect(addr).unwrap();
+    let before = client.info().unwrap();
+    assert_eq!(before.index, "ivf(nlist=8,nprobe=4)");
+    write_model(&path, 4);
+    assert_eq!(client.reload().unwrap(), 2);
+    let after = client.info().unwrap();
+    assert_eq!(after.index, before.index, "RELOAD changed the index");
+
+    // The rebuilt index is the one the same configuration builds over
+    // the new file, bit for bit.
+    let store = EmbeddingStore::open(&path).unwrap();
+    let rebuilt = IvfIndex::build(&store, cfg, Some(1));
+    for node in [0u32, 17, 59] {
+        let (_, tcp) = client.top_k(node, 5).unwrap();
+        let local = rebuilt.top_k_node(&store, node, 5, cfg.nprobe);
+        assert_eq!(
+            tcp.iter()
+                .map(|n| (n.node, n.score.to_bits()))
+                .collect::<Vec<_>>(),
+            local
+                .iter()
+                .map(|n| (n.node, n.score.to_bits()))
+                .collect::<Vec<_>>(),
+            "node {node}"
+        );
+    }
     client.quit().unwrap();
     handle.shutdown();
     join.join().unwrap();
